@@ -58,7 +58,9 @@ def _default_workers():
 
 
 def _run_config(args):
-    skip = {"func", "config"}
+    # worker count changes no output, so it stays out of artifacts: they
+    # must not depend on the machine's core count
+    skip = {"func", "config", "workers"}
     doc = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip
     }
@@ -322,7 +324,6 @@ def build_parser():
     pg.add_argument("--methods", default="kmed_approx,kmed_p2")
     pg.add_argument("--repetitions", type=int, default=10)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--workers", type=int, default=_default_workers())
     pg.add_argument("--out-dir", required=True)
     pg.set_defaults(func=cmd_bench)
 

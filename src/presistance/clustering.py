@@ -1,12 +1,13 @@
 """Distance-matrix clustering and evaluation.
 
 k-medoids is the PAM variant (greedy BUILD initialization plus SWAP local
-search) so the centers are always actual data points; farthest-first is the
-greedy 2-approximation for k-center. Ties are broken by lowest index
+search) so the centers are always actual data points. SWAP takes the gains
+of all k(n-k) trial swaps from one O(n^2) FastPAM1 pass (Schubert and
+Rousseeuw 2019) and applies the swap PAM would choose. Farthest-first is
+the greedy 2-approximation for k-center. Ties are broken by lowest index
 everywhere for reproducibility.
 """
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -78,31 +79,56 @@ def _pam_build(D, k):
     return centers
 
 
+def _swap_gains(D, centers):
+    # FastPAM1 (Schubert & Rousseeuw 2019): the objective decrease of every
+    # (medoid slot, candidate) swap from one O(n^2) pass. A point outside
+    # the removed medoid's cluster only moves if the candidate is closer
+    # (T); a point inside it moves to the candidate or to its second-nearest
+    # medoid, whichever is closer (E corrects T for those points).
+    points = np.arange(D.shape[0])
+    sub = D[:, centers]
+    nearest = np.argmin(sub, axis=1)
+    dn = sub[points, nearest]
+    if len(centers) > 1:
+        ds = np.partition(sub, 1, axis=1)[:, 1]
+    else:
+        ds = np.full(D.shape[0], np.inf)
+    T = np.minimum(D - dn[:, None], 0.0)
+    E = np.minimum(D, ds[:, None]) - dn[:, None] - T
+    onehot = np.zeros((len(centers), D.shape[0]))
+    onehot[nearest, points] = 1.0
+    gains = -(T.sum(axis=0)[None, :] + onehot @ E)
+    gains[:, centers] = -np.inf
+    return gains
+
+
+def _pam_pick(gains):
+    # PAM's choice: scan the gains in order and keep one only if it beats
+    # the best so far (starting at 0) by more than 1e-12; None if none does
+    best, pick, start = 0.0, None, 0
+    while start < gains.size:
+        above = gains[start:] > best + 1e-12
+        step = int(np.argmax(above))
+        if not above[step]:
+            break
+        pick = start + step
+        best = gains[pick]
+        start = pick + 1
+    return pick
+
+
 def _pam_swap(D, centers):
     centers = list(centers)
-    obj = _pam_objective(D, centers)
     iterations = 0
-    improved = True
-    while improved:
-        improved = False
-        best = (0.0, None, None)
-        in_set = set(centers)
-        for mi, m in enumerate(centers):
-            for h in range(D.shape[0]):
-                if h in in_set:
-                    continue
-                trial = centers.copy()
-                trial[mi] = h
-                delta = obj - _pam_objective(D, trial)
-                # strict improvement; lowest (m, h) wins ties via scan order
-                if delta > best[0] + 1e-12:
-                    best = (delta, mi, h)
-        if best[1] is not None:
-            centers[best[1]] = best[2]
-            obj -= best[0]
-            improved = True
-            iterations += 1
-    return centers, obj, iterations
+    while True:
+        pick = _pam_pick(_swap_gains(D, centers).ravel())
+        if pick is None:
+            break
+        mi, h = divmod(pick, D.shape[0])
+        centers[mi] = h
+        iterations += 1
+    # exact, not a running total of gains, so restarts compare exact values
+    return centers, _pam_objective(D, centers), iterations
 
 
 def k_medoids(D, k, seed=0, restarts=1):
@@ -132,7 +158,7 @@ def k_medoids(D, k, seed=0, restarts=1):
     return ClusterResult(
         assignments=labels,
         centers=tuple(order),
-        objective=_pam_objective(D, order),
+        objective=obj,
         seed=seed,
         iterations=iterations,
     )
@@ -237,8 +263,7 @@ def error_rate(pred, truth):
     """Fraction misclassified, minimized over bijections between predicted
     clusters and true classes.
 
-    Exhaustive over permutations for up to 6 classes, maximum-weight
-    matching on the confusion matrix beyond that. Invariant under any
+    Maximum-weight matching on the confusion matrix; invariant under any
     relabeling of either side.
     """
     pred = np.asarray(pred)
@@ -254,17 +279,7 @@ def error_rate(pred, truth):
     size = max(kp, kt)
     confusion = np.zeros((size, size), dtype=int)
     np.add.at(confusion, (pred_dense, true_dense), 1)
-    if size <= 6:
-        best_hits = -1
-        best_perm = None
-        for perm in itertools.permutations(range(size)):
-            hits = sum(confusion[r, perm[r]] for r in range(size))
-            if hits > best_hits:
-                best_hits = hits
-                best_perm = perm
-        matching = tuple(enumerate(best_perm))
-    else:
-        rows, cols = linear_sum_assignment(-confusion)
-        best_hits = int(confusion[rows, cols].sum())
-        matching = tuple(zip(rows.tolist(), cols.tolist()))
+    rows, cols = linear_sum_assignment(-confusion)
+    best_hits = int(confusion[rows, cols].sum())
+    matching = tuple(zip(rows.tolist(), cols.tolist()))
     return Evaluation(error_rate=1.0 - best_hits / n, matching=matching)

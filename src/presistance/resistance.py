@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, FingerprintMismatch, InvalidP
-from .graph import incidence
 from .numerics import P_MIN, conjugate_exponent, laplacian, laplacian_pinv
 
 # Test hook for the verification suite's negative control: when set, the
@@ -370,7 +369,8 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     """All-pairs p-resistance (or metric) matrix.
 
     In approx mode the pseudoinverse is computed once (or passed in) and
-    reused across every pair. In exact mode one solver run per pair is
+    reused across every pair; at p = 2 the matrix comes from its closed
+    form. In exact mode one solver run per pair is
     performed; pairs that fail to converge are recorded in `warnings` and
     the best-so-far value is kept. Exact-mode rows may be solved by a pool
     of `workers` processes; the result is identical for any worker count.
@@ -388,18 +388,27 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
         if pinv is None:
             pinv = laplacian_pinv(g)
         _check_pinv(pinv, g)
-        q = conjugate_exponent(p)
-        w = g.weights()
-        B = incidence(g) @ pinv.matrix  # row per edge: potentials of each column
-        for i in range(n - 1):
-            diff = np.abs(B[:, i : i + 1] - B[:, i + 1 :])
-            peak = diff.max(axis=0)
-            peak[peak == 0.0] = 1.0
-            vals = peak**q * (w @ (diff / peak[None, :]) ** q)
-            if form == "resistance":
-                vals = vals ** (p - 1.0)
-            D[i, i + 1 :] = vals
-            D[i + 1 :, i] = vals
+        Lp = pinv.matrix
+        if p == 2.0:
+            # q = 2: the edge sum collapses to the classic effective
+            # resistance (e_i - e_j)^T L+ (e_i - e_j); metric and resistance
+            # forms coincide. The clamp absorbs cancellation at tiny values
+            d = np.diag(Lp)
+            D = np.maximum(d[:, None] + d[None, :] - (Lp + Lp.T), 0.0)
+            np.fill_diagonal(D, 0.0)
+        else:
+            q = conjugate_exponent(p)
+            ei, ej, w = g.edge_index_arrays()
+            B = Lp[ei] - Lp[ej]  # row per edge: potentials of each column
+            for i in range(n - 1):
+                diff = np.abs(B[:, i : i + 1] - B[:, i + 1 :])
+                peak = diff.max(axis=0)
+                peak[peak == 0.0] = 1.0
+                vals = peak**q * (w @ (diff / peak[None, :]) ** q)
+                if form == "resistance":
+                    vals = vals ** (p - 1.0)
+                D[i, i + 1 :] = vals
+                D[i + 1 :, i] = vals
         if FAULT_FLIP_APPROX_SIGN:
             D = -D
         config_fp = f"pinv={pinv.fingerprint}"

@@ -68,6 +68,17 @@ def test_distances_reproducible_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
+def test_distances_bytes_independent_of_workers(tmp_path):
+    out = tmp_path / "d.bin"
+    outs = []
+    for workers in ("1", "2"):
+        assert run(["distances", "--generate", "path:n=6", "--p", "3",
+                    "--workers", workers, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert "workers" not in load_distance_matrix(out).meta
+
+
 def test_distances_exact_mode_completes(tmp_path):
     out = tmp_path / "e.bin"
     code = run(["distances", "--generate", "gnp_connected:n=12,edge_prob=0.4",

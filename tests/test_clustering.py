@@ -13,6 +13,7 @@ from presistance import (
     k_medoids,
     sc2_baseline,
 )
+from presistance.clustering import _pam_build, _pam_pick, _pam_swap
 from presistance.errors import InvalidK, LengthMismatch
 
 
@@ -74,6 +75,101 @@ def test_kmedoids_restarts_never_worse():
     single = k_medoids(D, 4, seed=2, restarts=1)
     multi = k_medoids(D, 4, seed=2, restarts=6)
     assert multi.objective <= single.objective + 1e-12
+
+
+def _naive_swap(D, centers):
+    # PAM SWAP by brute force: recompute the objective of every trial swap
+    centers = list(centers)
+    obj = D[:, centers].min(axis=1).sum()
+    iterations = 0
+    while True:
+        best = (0.0, None, None)
+        for mi in range(len(centers)):
+            for h in range(D.shape[0]):
+                if h in centers:
+                    continue
+                trial = centers.copy()
+                trial[mi] = h
+                delta = obj - D[:, trial].min(axis=1).sum()
+                if delta > best[0] + 1e-12:
+                    best = (delta, mi, h)
+        if best[1] is None:
+            return centers, obj, iterations
+        centers[best[1]] = best[2]
+        obj = D[:, centers].min(axis=1).sum()
+        iterations += 1
+
+
+def _naive_k_medoids(D, k, seed, restarts):
+    n = D.shape[0]
+    rng = np.random.default_rng(seed)
+    best = None
+    for run in range(restarts):
+        if run == 0:
+            init = _pam_build(D, k)
+        else:
+            init = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+        centers, obj, iterations = _naive_swap(D, init)
+        if best is None or obj < best[0] - 1e-12:
+            best = (obj, centers, iterations)
+    obj, centers, iterations = best
+    order = sorted(centers)
+    return tuple(order), iterations, float(D[:, order].min(axis=1).sum())
+
+
+def _test_matrix(rng, kind, n):
+    if kind == "points":
+        pts = rng.standard_normal((n, 2))
+        return np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    if kind == "integers":
+        A = rng.integers(1, 4, size=(n, n)).astype(float)
+    else:
+        A = rng.random((n, n))
+    D = np.triu(A, 1)
+    return D + D.T
+
+
+@pytest.mark.parametrize("kind", ["uniform", "integers", "points"])
+def test_kmedoids_swap_matches_naive_pam(kind):
+    # FastPAM1 gains must reproduce PAM's swap choices exactly; integer
+    # matrices make many trial swaps tie, which exercises the scan order
+    rng = np.random.default_rng(10)
+    for n in (2, 5, 9, 16, 30):
+        D = _test_matrix(rng, kind, n)
+        for k in sorted({1, 2, 3, 7, n - 1, n} & set(range(1, n + 1))):
+            for seed, restarts in ((0, 1), (3, 4)):
+                res = k_medoids(D, k, seed=seed, restarts=restarts)
+                centers, iterations, objective = _naive_k_medoids(D, k, seed, restarts)
+                assert res.centers == centers
+                assert res.iterations == iterations
+                assert res.objective == objective
+            # every run, not only the winning one: random starts swap more
+            for _ in range(3):
+                init = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+                assert _pam_swap(D, init) == _naive_swap(D, init)
+
+
+def test_pam_pick_follows_the_sequential_scan():
+    # gains inside the 1e-12 window: the running best, not the maximum, wins
+    def scan(gains):
+        best, pick = 0.0, None
+        for i, v in enumerate(gains):
+            if v > best + 1e-12:
+                best, pick = v, i
+        return pick
+
+    cases = [
+        [1.0, 1.0 + 1.5e-12, 1.0 + 2.5e-12],
+        [-np.inf, 5e-13, 2e-12, 2.5e-12, -1.0],
+        [-np.inf, -np.inf],
+        [0.0, 1e-12, 3.0, 3.0],
+    ]
+    rng = np.random.default_rng(13)
+    cases += [1.0 + rng.integers(0, 6, size=40) * 7e-13 for _ in range(50)]
+    for gains in cases:
+        gains = np.asarray(gains, dtype=float)
+        assert _pam_pick(gains) == scan(gains)
+    assert _pam_pick(np.array([1.0, 1.0 + 1.5e-12, 1.0 + 2.5e-12])) == 1
 
 
 def test_farthest_first_collinear():
@@ -177,7 +273,7 @@ def test_error_rate_label_invariance():
 
 def test_error_rate_string_labels_and_many_classes():
     assert error_rate(["a", "a", "b"], ["x", "x", "y"]).error_rate == 0.0
-    # beyond 6 classes the matching path takes over; identity must still win
+    # ten classes: the matching must still find the identity
     truth = np.arange(10).repeat(3)
     assert error_rate(truth, truth).error_rate == 0.0
     pred = truth.copy()

@@ -189,13 +189,24 @@ def test_distance_matrix_path_closed_form():
 
 
 def test_distance_matrix_p2_matches_classic():
+    # the p = 2 closed form against the energy of the unit-current
+    # potentials, sum over edges of w (y_a - y_b)^2, with y from numpy's pinv
     g = random_connected(10, 12)
-    pinv = laplacian_pinv(g)
-    Lp = pinv.matrix
-    dm = distance_matrix(g, 2.0, mode="approx", form="resistance", pinv=pinv)
-    classic = np.add.outer(np.diag(Lp), np.diag(Lp)) - 2 * Lp
-    np.fill_diagonal(classic, 0.0)
-    assert np.abs(dm.matrix - classic).max() <= 1e-10
+    ei, ej, w = g.edge_index_arrays()
+    L = np.zeros((g.n, g.n))
+    np.add.at(L, (ei, ej), -w)
+    np.add.at(L, (ej, ei), -w)
+    L -= np.diag(L.sum(axis=1))
+    Lp = np.linalg.pinv(L)
+    classic = np.zeros((g.n, g.n))
+    for i in range(g.n):
+        for j in range(g.n):
+            if i != j:
+                y = Lp[:, i] - Lp[:, j]
+                classic[i, j] = w @ (y[ei] - y[ej]) ** 2
+    for form in ("resistance", "metric"):
+        dm = distance_matrix(g, 2.0, mode="approx", form=form)
+        assert np.abs(dm.matrix - classic).max() <= 1e-10
 
 
 def test_distance_matrix_exact_broom_endpoint_near_mincut():
