@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands mirror the staged pipeline so intermediate artifacts (graph,
-pseudoinverse, distance matrix) persist and can be reused:
+distance matrix) persist and can be reused:
 
     build-graph   features CSV -> k-NN Gaussian edge list
     distances     edge list -> distance matrix (binary and/or CSV)
@@ -14,7 +14,8 @@ pseudoinverse, distance matrix) persist and can be reused:
 Exit codes: 0 success, 1 property/convergence failure, 2 usage/validation
 error. Every artifact embeds the resolved run configuration and the toolkit
 version; re-running a command with identical inputs reproduces the artifact
-byte for byte (timing lines go to stdout or separate files, never into
+byte for byte, whatever the output path or worker count, which are not
+recorded (timing lines go to stdout or separate files, never into
 deterministic artifacts).
 """
 
@@ -50,17 +51,25 @@ from .resistance import (
 from .verify import FAULTS, clear_faults, inject_fault, run_suites
 
 
-def _default_workers():
+def _resolve_workers(workers):
+    if workers is not None:
+        return workers
     env = os.environ.get("PRESISTANCE_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise errors.InvalidParams(
+                f"PRESISTANCE_WORKERS must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
 def _run_config(args):
-    # worker count changes no output, so it stays out of artifacts: they
-    # must not depend on the machine's core count
-    skip = {"func", "config", "workers"}
+    # the worker count and the output destinations change no computed
+    # value, so they stay out of artifacts: the bytes must depend neither
+    # on the machine's core count nor on where they are written
+    skip = {"func", "config", "workers", "out", "csv", "out_dir", "report"}
     doc = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip
     }
@@ -117,6 +126,7 @@ def cmd_build_graph(args):
 
 
 def cmd_distances(args):
+    workers = _resolve_workers(args.workers)
     g = _load_graph(args)
     cfg = SolverConfig(
         grad_tol=args.grad_tol,
@@ -131,7 +141,7 @@ def cmd_distances(args):
     t0 = time.perf_counter()
     dm = distance_matrix(
         g, args.p, mode=args.mode, form=args.form, cfg=cfg, pinv=pinv,
-        workers=args.workers,
+        workers=workers,
     )
     t_pairs = time.perf_counter() - t0
     dm = dataclasses.replace(dm, meta=_run_config(args))
@@ -297,7 +307,9 @@ def build_parser():
     pd.add_argument("--smoothing-eps", type=float, default=1e-12)
     pd.add_argument("--init", choices=("p2_warmstart", "zeros"), default="p2_warmstart")
     pd.add_argument("--seed", type=int, default=0)
-    pd.add_argument("--workers", type=int, default=_default_workers())
+    pd.add_argument("--workers", type=int, default=None,
+                    help="exact-mode processes (default: PRESISTANCE_WORKERS, "
+                    "else the CPU count)")
     pd.set_defaults(func=cmd_distances)
 
     pc = sub.add_parser("cluster", help="cluster a persisted distance matrix")

@@ -5,14 +5,12 @@ All arithmetic is 64-bit floating point. Conjugate exponents are computed as
 q = p / (p - 1) and require p > 1 + 1e-9.
 """
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatch,
-    FingerprintMismatch,
     InvalidP,
     NonFinite,
     SingularShift,
@@ -118,38 +116,6 @@ def laplacian_pinv(g):
             raise SingularShift("pseudoinverse residual too large on both routes")
     Lp = 0.5 * (Lp + Lp.T)
     return LaplacianPinv(matrix=Lp, fingerprint=g.fingerprint())
-
-
-_PINV_MAGIC = b"LPNV"
-
-
-def save_laplacian_pinv(pinv, path):
-    """Binary layout: magic, uint64 n, fingerprint block, row-major float64."""
-    fp = pinv.fingerprint.encode()
-    with open(path, "wb") as f:
-        f.write(_PINV_MAGIC)
-        f.write(struct.pack("<Q", pinv.n))
-        f.write(struct.pack("<Q", len(fp)))
-        f.write(fp)
-        f.write(np.ascontiguousarray(pinv.matrix, dtype="<f8").tobytes())
-
-
-def load_laplacian_pinv(path, g=None):
-    """Load a persisted pseudoinverse; refuses a graph fingerprint mismatch."""
-    with open(path, "rb") as f:
-        if f.read(4) != _PINV_MAGIC:
-            raise FingerprintMismatch(f"{path} is not a pseudoinverse file")
-        (n,) = struct.unpack("<Q", f.read(8))
-        (fplen,) = struct.unpack("<Q", f.read(8))
-        fp = f.read(fplen).decode()
-        data = np.frombuffer(f.read(), dtype="<f8")
-    if data.size != n * n:
-        raise FingerprintMismatch(f"{path}: expected {n * n} floats, got {data.size}")
-    if g is not None and g.fingerprint() != fp:
-        raise FingerprintMismatch(
-            f"{path} was computed for a different graph ({fp} != {g.fingerprint()})"
-        )
-    return LaplacianPinv(matrix=data.reshape(n, n).copy(), fingerprint=fp)
 
 
 @dataclass(frozen=True)

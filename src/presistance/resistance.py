@@ -4,18 +4,28 @@ The exact route pins a unit potential drop between a vertex pair and
 minimizes the graph p-energy over the free coordinates with gradient descent
 (Armijo backtracking). The approximate route evaluates a conjugate-exponent
 seminorm of pseudoinverse columns, reusing one Laplacian pseudoinverse for
-every pair. Combinatorial oracles for the two limit regimes (minimum cut and
-hop distance) live here as well.
+every pair. Each route has one kernel: `_edge_kernel` for the (smoothed)
+energy and its gradient, `_approx_sums` for the approximate metric of one
+pair or of a row of pairs. Combinatorial oracles for the two limit regimes
+(minimum cut and hop distance) live here as well.
 """
 
-import heapq
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import DimensionMismatch, FingerprintMismatch, InvalidP
-from .numerics import P_MIN, conjugate_exponent, laplacian, laplacian_pinv
+from .numerics import (
+    P_MIN,
+    _signed_power,
+    conjugate_exponent,
+    laplacian,
+    laplacian_pinv,
+)
 
 # Test hook for the verification suite's negative control: when set, the
 # approximated metric comes back negated, which must trip the invariant
@@ -72,16 +82,27 @@ class SolverReport:
     potentials: np.ndarray
 
 
-def _edge_energy(ei, ej, w, x, p):
-    d = np.abs(x[ei] - x[ej])
-    return float(w @ d**p)
+# smallest positive float: floor of the energy scale in the plateau test
+_TINY = np.finfo(float).tiny
 
 
-def _edge_gradient(n, ei, ej, w, x, p, smoothing_eps):
+def _edge_kernel(ei, ej, w, x, p, eps2=0.0, gradient=False):
+    """Smoothed p-energy sum over edges of w (d^2 + eps2)^(p/2), with the
+    edge drops d = x[ei] - x[ej]; with `gradient` its gradient in x instead.
+
+    At eps2 = 0 this is the plain p-energy sum w |d|^p, and tied coordinates
+    contribute exactly 0 to the gradient.
+    """
     d = x[ei] - x[ej]
-    base = np.maximum(np.abs(d), smoothing_eps) if smoothing_eps > 0 else np.abs(d)
-    s = w * p * np.sign(d) * base ** (p - 1.0)
-    grad = np.zeros(n)
+    base = d * d + eps2
+    if not gradient:
+        return float(w @ base ** (p / 2.0))
+    if eps2 == 0.0:
+        # a zero base is a tie, whose term the factor d makes 0; a unit base
+        # keeps 0 ** negative out of it for p < 2
+        base[base == 0.0] = 1.0
+    s = w * p * d * base ** ((p - 2.0) / 2.0)
+    grad = np.zeros(x.size)
     np.add.at(grad, ei, s)
     np.add.at(grad, ej, -s)
     return grad
@@ -90,19 +111,17 @@ def _edge_gradient(n, ei, ej, w, x, p, smoothing_eps):
 def p_energy(g, x, p):
     """Sum over edges of w |x_i - x_j|^p."""
     ei, ej, w = g.edge_index_arrays()
-    return _edge_energy(ei, ej, w, np.asarray(x, dtype=float), p)
+    return _edge_kernel(ei, ej, w, np.asarray(x, dtype=float), p)
 
 
-def p_energy_gradient(g, x, p, smoothing_eps=0.0):
+def p_energy_gradient(g, x, p):
     """Gradient of the p-energy: p times the graph p-Laplacian applied to x.
 
-    With the default smoothing_eps of 0 this is the plain analytic gradient
-    (tied coordinates contribute 0 through sign(0)). A positive value floors
-    |d| in the exponent base, which for p close to 1 stops near-tie terms
-    from dominating the scale of the gradient.
+    Each edge contributes w p |d|^(p-2) d to its head and the negative to its
+    tail; tied coordinates (d = 0) contribute exactly 0.
     """
     ei, ej, w = g.edge_index_arrays()
-    return _edge_gradient(g.n, ei, ej, w, np.asarray(x, dtype=float), p, smoothing_eps)
+    return _edge_kernel(ei, ej, w, np.asarray(x, dtype=float), p, gradient=True)
 
 
 def _warm_start(g, i, j):
@@ -148,20 +167,23 @@ def _smoothing_ladder(p, eps):
     return ladder
 
 
-def _descend(x, f_fn, g_fn, grad_tol, rel_energy_tol, max_iter):
+def _descend(x, kernel, pinned, grad_tol, rel_energy_tol, max_iter):
     # monotone gradient descent: Barzilai-Borwein trial step with Armijo
     # backtracking; runs until energy progress stalls, the gradient meets
-    # the tolerance with no progress left, or the budget runs out
-    f = f_fn(x)
-    grad = g_fn(x)
-    grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
+    # the tolerance with no progress left, or the budget runs out.
+    # `kernel(x)` is the energy, `kernel(x, gradient=True)` its gradient;
+    # the `pinned` coordinates never move
+    f = kernel(x)
     iterations = 0
     plateau = 0
     step = 1.0
     prev_x = None
     prev_grad = None
-    while iterations < max_iter:
-        if grad_norm == 0.0:
+    while True:
+        grad = kernel(x, gradient=True)
+        grad[pinned] = 0.0
+        grad_norm = float(np.abs(grad).max())
+        if iterations >= max_iter or grad_norm == 0.0:
             break
         if grad_norm <= grad_tol and plateau >= 2:
             break
@@ -179,7 +201,7 @@ def _descend(x, f_fn, g_fn, grad_tol, rel_energy_tol, max_iter):
         t = min(max(step, 1e-300), 1e300)
         for _ in range(200):
             x_new = x - t * grad
-            f_new = f_fn(x_new)
+            f_new = kernel(x_new)
             if f_new <= f - 1e-4 * t * gsq:
                 accepted = True
                 break
@@ -190,13 +212,11 @@ def _descend(x, f_fn, g_fn, grad_tol, rel_energy_tol, max_iter):
         prev_x, prev_grad = x, grad
         x, f = x_new, f_new
         step = t * 2.0
-        grad = g_fn(x)
-        grad_norm = float(np.abs(grad).max()) if grad.size else 0.0
-        if drop <= rel_energy_tol * max(f, np.finfo(float).tiny):
+        if drop <= rel_energy_tol * max(f, _TINY):
             plateau += 1
         else:
             plateau = 0
-    return x, f, grad_norm, iterations
+    return x, grad_norm, iterations
 
 
 def ssl_solve(g, p, i, j, cfg=None):
@@ -220,28 +240,11 @@ def ssl_solve(g, p, i, j, cfg=None):
         x[i] = 1.0
 
     ei, ej, w = g.edge_index_arrays()
-    free = np.ones(g.n, dtype=bool)
-    free[[i, j]] = False
 
     # The descent works on the smoothed energy sum w (d^2 + eps^2)^(p/2):
     # same minimizer up to O(eps), but its gradient vanishes continuously at
     # zero drops, where the raw |d|^(p-1) sgn(d) term flips sign and stalls
     # the iteration for p close to 1.
-    def smooth_energy(v, pp, eps2):
-        # overlong line-search probes may overflow to inf; Armijo rejects them
-        with np.errstate(over="ignore"):
-            d = v[ei] - v[ej]
-            return float(w @ (d * d + eps2) ** (pp / 2.0))
-
-    def smooth_gradient(v, pp, eps2):
-        d = v[ei] - v[ej]
-        s = w * pp * d * (d * d + eps2) ** ((pp - 2.0) / 2.0)
-        grad = np.zeros(g.n)
-        np.add.at(grad, ei, s)
-        np.add.at(grad, ej, -s)
-        grad[~free] = 0.0
-        return grad
-
     total_iterations = 0
     grad_norm = 0.0
     stages = [
@@ -256,19 +259,16 @@ def ssl_solve(g, p, i, j, cfg=None):
         )
         if budget <= 0:
             break
-        eps2 = eps * eps
-        x, _, grad_norm, its = _descend(
-            x,
-            lambda v, pp=pp, eps2=eps2: smooth_energy(v, pp, eps2),
-            lambda v, pp=pp, eps2=eps2: smooth_gradient(v, pp, eps2),
-            cfg.grad_tol,
-            cfg.rel_energy_tol,
-            budget,
-        )
+        kernel = partial(_edge_kernel, ei, ej, w, p=pp, eps2=eps * eps)
+        # overlong line-search probes may overflow to inf; Armijo rejects them
+        with np.errstate(over="ignore"):
+            x, grad_norm, its = _descend(
+                x, kernel, [i, j], cfg.grad_tol, cfg.rel_energy_tol, budget
+            )
         total_iterations += its
 
     return SolverReport(
-        energy=_edge_energy(ei, ej, w, x, p),
+        energy=_edge_kernel(ei, ej, w, x, p),
         iterations=total_iterations,
         final_grad_norm=grad_norm,
         converged=grad_norm <= cfg.grad_tol,
@@ -294,14 +294,33 @@ def _check_pinv(pinv, g):
         )
 
 
-def _pair_seminorm_pow_q(pinv, g, i, j, q):
-    ei, ej, w = g.edge_index_arrays()
-    y = pinv.matrix[:, i] - pinv.matrix[:, j]
-    d = np.abs(y[ei] - y[ej])
-    peak = d.max() if d.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    return float(peak**q * (w @ (d / peak) ** q))
+def _approx_sums(drops, w, q):
+    """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
+    are the columns of `drops` (the vector `drops` for one pair): the q-th
+    power sum over edges of w |drop|^q, factored by each column's peak so
+    that huge q stays in range.
+
+    Works in place and overwrites `drops`: the all-pairs loop passes a
+    fresh edges-by-pairs block per row, and further temporaries of that
+    size more than double its time.
+    """
+    diff = np.abs(drops, out=drops)
+    peak = diff.max(axis=0)
+    peak = np.where(peak == 0.0, 1.0, peak)
+    diff /= peak
+    diff **= q
+    return peak**q * (w @ diff)
+
+
+def _approx_form(metric, p, form):
+    """Approximated values in the requested form, where the sign fault hook
+    applies. The resistance form is the metric raised to the p - 1, with
+    the sign outside the power so that an injected fault propagates as a
+    bad value instead of a complex crash.
+    """
+    if FAULT_FLIP_APPROX_SIGN:
+        metric = -metric
+    return _signed_power(metric, p - 1.0) if form == "resistance" else metric
 
 
 def approx_metric(pinv, g, query):
@@ -312,20 +331,15 @@ def approx_metric(pinv, g, query):
     robust even for very large p because only the q-th power is taken.
     """
     _check_pinv(pinv, g)
-    q = conjugate_exponent(query.p)
-    value = _pair_seminorm_pow_q(pinv, g, query.i, query.j, q)
-    if FAULT_FLIP_APPROX_SIGN:
-        return -value
-    return value
+    ei, ej, w = g.edge_index_arrays()
+    y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
+    metric = _approx_sums(y[ei] - y[ej], w, conjugate_exponent(query.p))
+    return float(_approx_form(metric, query.p, "metric"))
 
 
 def approx_presistance(pinv, g, query):
     """Approximated p-resistance: the metric form raised to the p - 1."""
-    metric = approx_metric(pinv, g, query)
-    # the metric is nonnegative unless the fault hook is active; keep the
-    # sign outside the power so an injected fault propagates as a bad value
-    # instead of a complex crash
-    return float(np.sign(metric) * abs(metric) ** (query.p - 1.0))
+    return float(_signed_power(approx_metric(pinv, g, query), query.p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -401,16 +415,10 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
             ei, ej, w = g.edge_index_arrays()
             B = Lp[ei] - Lp[ej]  # row per edge: potentials of each column
             for i in range(n - 1):
-                diff = np.abs(B[:, i : i + 1] - B[:, i + 1 :])
-                peak = diff.max(axis=0)
-                peak[peak == 0.0] = 1.0
-                vals = peak**q * (w @ (diff / peak[None, :]) ** q)
-                if form == "resistance":
-                    vals = vals ** (p - 1.0)
+                vals = _approx_sums(B[:, i : i + 1] - B[:, i + 1 :], w, q)
                 D[i, i + 1 :] = vals
                 D[i + 1 :, i] = vals
-        if FAULT_FLIP_APPROX_SIGN:
-            D = -D
+        D = _approx_form(D, p, form)
         config_fp = f"pinv={pinv.fingerprint}"
     else:
         cfg = cfg or SolverConfig()
@@ -527,22 +535,11 @@ def mincut(g, s, t):
 
 
 def shortest_path(g, s, t, weighted=True):
-    """Dijkstra distance; unweighted treats every edge as length 1."""
-    adj = g.neighbors()
-    dist = {s: 0.0}
-    heap = [(0.0, s)]
-    visited = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in visited:
-            continue
-        if u == t:
-            return d
-        visited.add(u)
-        for v, w in adj[u]:
-            length = w if weighted else 1.0
-            nd = d + length
-            if nd < dist.get(v, np.inf):
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist.get(t, np.inf)
+    """Dijkstra distance; unweighted treats every edge as length 1.
+
+    Returns inf when t is unreachable from s.
+    """
+    ei, ej, w = g.edge_index_arrays()
+    lengths = w if weighted else np.ones_like(w)
+    A = csr_matrix((lengths, (ei, ej)), shape=(g.n, g.n))
+    return float(dijkstra(A, directed=False, indices=s)[t])

@@ -13,6 +13,7 @@ the suites actually have teeth.
 
 import itertools
 import time
+from functools import partial
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .pipeline import ratio_sweep
 from .resistance import (
     PairQuery,
     SolverConfig,
+    _edge_kernel,
     approx_presistance,
     distance_matrix,
     exact_presistance,
@@ -234,24 +236,41 @@ def suite_metric_triangle(seed=0, graphs=6, n_max=10):
 
 
 def suite_gradient_check(seed=0, cases=20):
+    # the plain gradient away from ties, then the smoothed gradient the
+    # solver descends along, against its own energy with ties included
     fails = []
     rng = np.random.default_rng(seed)
+    h = 1e-6
     for c in range(cases):
         n = int(rng.integers(3, 12))
         g = _random_connected(n, seed * 11 + c)
+        ei, ej, w = g.edge_index_arrays()
         # keep coordinates away from ties so the kink never interferes
         x = rng.permutation(n) * 0.37 + rng.uniform(0.01, 0.02, size=n)
+        # the solver's potentials lie in [0, 1]; vertices 1 and 2 tie with 0
+        tied = x / x.max()
+        tied[1:3] = tied[0]
+        checks = []
         for p in (1.5, 2.0, 3.0):
             analytic = p_energy_gradient(g, x, p)
-            h = 1e-6
+            checks.append((f"p={p}", x, partial(p_energy, g, p=p), analytic, 1e-8))
+        for p in (1.1, 1.5, 3.0, 10.0):
+            analytic = _edge_kernel(ei, ej, w, tied, p, 1e-4, gradient=True)
+            # at p = 10 components span many orders of magnitude, far below
+            # the rounding of a central difference of the whole energy;
+            # those are held to a tolerance relative to the largest one
+            checks.append((f"smoothed p={p}", tied,
+                           partial(_edge_kernel, ei, ej, w, p=p, eps2=1e-4),
+                           analytic, max(1e-8, 1e-4 * np.abs(analytic).max())))
+        for label, x0, energy, analytic, floor in checks:
             for v in range(n):
-                xp, xm = x.copy(), x.copy()
+                xp, xm = x0.copy(), x0.copy()
                 xp[v] += h
                 xm[v] -= h
-                fd = (p_energy(g, xp, p) - p_energy(g, xm, p)) / (2 * h)
-                denom = max(abs(fd), abs(analytic[v]), 1e-8)
+                fd = (energy(x=xp) - energy(x=xm)) / (2 * h)
+                denom = max(abs(fd), abs(analytic[v]), floor)
                 if abs(analytic[v] - fd) / denom > 1e-5:
-                    fails.append(f"case {c} p={p} vertex {v}: gradient mismatch")
+                    fails.append(f"case {c} {label} vertex {v}: gradient mismatch")
     return fails
 
 

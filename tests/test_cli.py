@@ -189,3 +189,30 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["distances", "--out", "x"])  # missing required --p
     assert exc.value.code == 2
+
+
+def test_bad_workers_env_only_breaks_distances(tmp_path, monkeypatch):
+    monkeypatch.setenv("PRESISTANCE_WORKERS", "abc")
+    assert run(["verify", "--suite", "laplacian-identities", "--quiet"]) == 0
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--out", tmp_path / "d.bin"]) == 2
+    monkeypatch.setenv("PRESISTANCE_WORKERS", "2")
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--out", tmp_path / "d.bin"]) == 0
+
+
+def test_artifact_bytes_independent_of_output_path(tmp_path):
+    dists = []
+    for name in ("a.bin", "b.bin"):
+        out = tmp_path / name
+        assert run(["distances", "--generate", "path:n=6", "--p", "3",
+                    "--csv", tmp_path / f"{name}.csv", "--out", out]) == 0
+        dists.append(out.read_bytes())
+    assert dists[0] == dists[1]
+    clusters = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        assert run(["cluster", "--distances", tmp_path / "a.bin", "--k", "2",
+                    "--out", out]) == 0
+        clusters.append(out.read_bytes())
+    assert clusters[0] == clusters[1]

@@ -8,14 +8,11 @@ from presistance import (
     graph_p_seminorm,
     laplacian,
     laplacian_pinv,
-    load_laplacian_pinv,
     matrix_op_pnorm,
-    save_laplacian_pinv,
     weighted_p_norm,
 )
 from presistance.errors import (
     DimensionMismatch,
-    FingerprintMismatch,
     InvalidP,
     NonFinite,
 )
@@ -124,18 +121,6 @@ def test_pinv_moore_penrose_identities():
         assert np.linalg.norm(Lp @ L @ Lp - Lp) / max(np.linalg.norm(Lp), 1) <= 1e-9
         assert np.linalg.norm((L @ Lp).T - L @ Lp) / scale <= 1e-9
         assert np.abs(Lp @ np.ones(g.n)).max() <= 1e-9
-
-
-def test_pinv_persistence_round_trip(tmp_path):
-    g = random_connected(12, 7)
-    pinv = laplacian_pinv(g)
-    path = tmp_path / "lp.bin"
-    save_laplacian_pinv(pinv, path)
-    loaded = load_laplacian_pinv(path, g)
-    assert np.array_equal(loaded.matrix, pinv.matrix)
-    other = random_connected(12, 8)
-    with pytest.raises(FingerprintMismatch):
-        load_laplacian_pinv(path, other)
 
 
 def test_matrix_op_pnorm_exact_forms():

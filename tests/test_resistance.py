@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from presistance import (
+    Graph,
+    GraphBuildParams,
     PairQuery,
     SolverConfig,
     approx_metric,
@@ -11,8 +13,10 @@ from presistance import (
     exact_presistance,
     export_distance_csv,
     generate,
+    knn_gaussian_graph,
     laplacian_pinv,
     load_distance_matrix,
+    load_features,
     mincut,
     p_energy,
     p_energy_gradient,
@@ -21,7 +25,8 @@ from presistance import (
     ssl_solve,
 )
 from presistance.errors import DimensionMismatch, FingerprintMismatch, InvalidP
-from presistance.resistance import _pair_seminorm_pow_q
+from presistance.resistance import _approx_sums, _edge_kernel
+from presistance.verify import clear_faults, inject_fault
 
 from conftest import (
     brute_force_mincut,
@@ -162,8 +167,10 @@ def test_approx_metric_forms():
     # tree path of length 2 at p=3: resistance 4, metric 4^(1/2) = 2
     q3 = PairQuery(0, 2, 3.0)
     assert approx_metric(pinv, g, q3) == pytest.approx(2.0)
-    # identical endpoints give a zero metric at the seminorm level
-    assert _pair_seminorm_pow_q(pinv, g, 1, 1, 1.5) == 0.0
+    # identical endpoints give a zero metric at the kernel level
+    ei, ej, w = g.edge_index_arrays()
+    y = pinv.matrix[:, 1] - pinv.matrix[:, 1]
+    assert _approx_sums(y[ei] - y[ej], w, 1.5) == 0.0
 
 
 def test_approx_rejects_mismatched_pinv():
@@ -309,6 +316,114 @@ def test_gradient_matches_finite_differences():
                 xm[v] -= h
                 fd = (p_energy(g, xp, p) - p_energy(g, xm, p)) / (2 * h)
                 assert grad[v] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def test_edge_kernel_smoothed_gradient_matches_its_energy():
+    # the gradient the solver descends along, checked against central
+    # differences of the smoothed energy it minimizes, ties included, at
+    # potentials in [0, 1] like the solver's. Components far below the
+    # largest one sit under the rounding of a central difference of the
+    # whole energy and are held to a tolerance relative to the largest
+    rng = np.random.default_rng(9)
+    h = 1e-6
+    for seed in range(6):
+        g = random_connected(8, 450 + seed)
+        ei, ej, w = g.edge_index_arrays()
+        x = rng.permutation(8) / 7.0
+        x[[1, 4, 6]] = x[0]
+        for p in (1.1, 1.5, 3.0, 10.0):
+            for eps in (1e-1, 1e-2):
+                eps2 = eps * eps
+                grad = _edge_kernel(ei, ej, w, x, p, eps2, gradient=True)
+                floor = max(1e-8, 1e-4 * np.abs(grad).max())
+                for v in range(g.n):
+                    xp, xm = x.copy(), x.copy()
+                    xp[v] += h
+                    xm[v] -= h
+                    fd = (_edge_kernel(ei, ej, w, xp, p, eps2)
+                          - _edge_kernel(ei, ej, w, xm, p, eps2)) / (2 * h)
+                    denom = max(abs(fd), abs(grad[v]), floor)
+                    assert abs(grad[v] - fd) / denom <= 1e-5
+
+
+def test_edge_kernel_tie_contributes_exact_zero():
+    import warnings
+
+    g = generate("path", n=3)
+    x = np.array([0.5, 0.5, 0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for p in (1.1, 1.5, 2.0, 3.0):
+            grad = p_energy_gradient(g, x, p)
+            # only edge (2, 1) has a drop; the tied edge (1, 0) adds nothing
+            s = p * 0.3 ** (p - 1.0)
+            assert grad[0] == 0.0
+            assert grad[1] == pytest.approx(s, rel=1e-14)
+            assert grad[2] == pytest.approx(-s, rel=1e-14)
+            assert p_energy(g, x, p) == pytest.approx(0.3**p, rel=1e-14)
+            assert np.all(p_energy_gradient(g, np.full(3, 0.7), p) == 0.0)
+
+
+def _assert_approx_paths_agree(g, pairs, ps, negated=False):
+    # A single pair differences its two L+ columns before the edges and
+    # sums with a dot product, a matrix row the other way round and with a
+    # matrix-vector product; at p = 2 the matrix takes the closed form. So
+    # the metric forms agree to rounding, checked at 1e-13. The resistance
+    # form raises the metric to the p - 1, which carries that agreement to
+    # (1 + 1e-13)^(p - 1) - 1; where it overflows to inf, both paths must.
+    pinv = laplacian_pinv(g)
+    sign = -1.0 if negated else 1.0
+    for p in ps:
+        for form, one_pair in (("metric", approx_metric),
+                               ("resistance", approx_presistance)):
+            M = distance_matrix(g, p, mode="approx", form=form, pinv=pinv).matrix
+            tol = 1e-13 if form == "metric" else (1 + 1e-13) ** (p - 1.0) - 1
+            for i, j in pairs:
+                for a, b in ((i, j), (j, i)):
+                    got = one_pair(pinv, g, PairQuery(a, b, p))
+                    want = M[a, b]
+                    assert sign * want > 0
+                    if np.isinf(want):
+                        assert got == want
+                    else:
+                        assert abs(got - want) <= tol * abs(want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_approx_pair_matches_distance_matrix_random_graphs():
+    for seed in range(4):
+        g = random_connected(9, 900 + seed)
+        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+        _assert_approx_paths_agree(g, pairs, (1.1, 2.0, 2.9, 10.0, 1000.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_approx_pair_matches_distance_matrix_iris(iris_csv):
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1.0))
+    rng = np.random.default_rng(3)
+    pairs = [tuple(map(int, rng.choice(g.n, size=2, replace=False)))
+             for _ in range(8)]
+    _assert_approx_paths_agree(g, pairs, (1.1, 2.0, 2.9, 10.0, 1000.0))
+
+
+def test_approx_paths_negated_under_fault():
+    g = random_connected(7, 950)
+    pairs = [(0, 6), (2, 3)]
+    inject_fault("approx-sign")
+    try:
+        _assert_approx_paths_agree(g, pairs, (1.1, 2.0, 2.9, 10.0),
+                                   negated=True)
+    finally:
+        clear_faults()
+
+
+def test_shortest_path_unreachable_is_inf():
+    # build_graph refuses disconnected input; the Graph type itself does not
+    g = Graph(4, ((1, 0, 1.0), (3, 2, 2.0)))
+    assert shortest_path(g, 0, 3) == np.inf
+    assert shortest_path(g, 0, 3, weighted=False) == np.inf
+    assert shortest_path(g, 2, 3) == 2.0
 
 
 def test_rayleigh_monotonicity():
