@@ -14,8 +14,8 @@ distance matrix) persist and can be reused:
 Exit codes: 0 success, 1 property/convergence failure, 2 usage/validation
 error. Every artifact embeds the resolved run configuration and the toolkit
 version; re-running a command with identical inputs reproduces the artifact
-byte for byte, whatever the output path or worker count, which are not
-recorded (timing lines go to stdout or separate files, never into
+byte for byte, whatever the input and output paths or worker count, which
+are not recorded (timing lines go to stdout or separate files, never into
 deterministic artifacts).
 """
 
@@ -66,10 +66,16 @@ def _resolve_workers(workers):
 
 
 def _run_config(args):
-    # the worker count and the output destinations change no computed
-    # value, so they stay out of artifacts: the bytes must depend neither
-    # on the machine's core count nor on where they are written
-    skip = {"func", "config", "workers", "out", "csv", "out_dir", "report"}
+    # the worker count, the input paths and the output destinations change
+    # no computed value, so they stay out of artifacts: the bytes must
+    # depend neither on the machine's core count nor on where the data is
+    # read from or written to (`dist.bin` identifies its graph by
+    # fingerprint). `--labels` names a file only for `cluster`; elsewhere it
+    # picks the label column, which does change what is computed
+    skip = {"func", "config", "workers", "out", "csv", "out_dir", "report",
+            "graph", "features", "distances"}
+    if args.subcommand == "cluster":
+        skip.add("labels")
     doc = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EigenFailure, InvalidK, LengthMismatch
+from .errors import EigenFailure, InvalidK, LengthMismatch, NonFinite
 from .graph import laplacian
 
 
@@ -50,6 +50,9 @@ def _check_distance_input(D, k):
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise InvalidK("distance matrix must be square")
+    if not np.isfinite(D).all():
+        # e.g. a resistance-form matrix at large p, whose values overflow
+        raise NonFinite("distance matrix contains NaN or Inf")
     n = D.shape[0]
     if not (1 <= k <= n):
         raise InvalidK(f"k must be in [1, {n}], got {k}")

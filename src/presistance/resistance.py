@@ -1,18 +1,19 @@
 """Exact and approximated effective p-resistance.
 
 The exact route pins a unit potential drop between a vertex pair and
-minimizes the graph p-energy over the free coordinates with gradient descent
-(Armijo backtracking). The approximate route evaluates a conjugate-exponent
+minimizes the graph p-energy over the free coordinates with damped Newton
+steps: each step solves the Laplacian weighted by the edge curvatures,
+restricted to the free vertices, and Armijo backtracking on the smoothed
+energy damps it. The approximate route evaluates a conjugate-exponent
 seminorm of pseudoinverse columns, reusing one Laplacian pseudoinverse for
 every pair. Each route has one kernel: `_edge_kernel` for the (smoothed)
-energy and its gradient, `_approx_sums` for the approximate metric of one
-pair or of a row of pairs. Combinatorial oracles for the two limit regimes
-(minimum cut and hop distance) live here as well.
+energy, its gradient and its edge curvatures, `_approx_sums` for the
+approximate metric of one pair or of a row of pairs. Combinatorial oracles
+for the two limit regimes (minimum cut and hop distance) live here as well.
 """
 
 import struct
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -48,7 +49,16 @@ class PairQuery:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for the pinned-drop energy minimizer."""
+    """Settings for the pinned-drop energy minimizer.
+
+    Each stage of the p and smoothing ladders runs damped Newton steps
+    until the Newton decrement puts the energy gap within `rel_energy_tol`
+    of the energy and either the free gradient meets `grad_tol` or the
+    decrement has stopped shrinking tenfold per step. `max_iter` bounds the
+    Newton steps over all stages. `converged` in the report means the final
+    free gradient meets `grad_tol`. `smoothing_eps` is the smoothing of the
+    last stage and `init` the start: the p = 2 potentials or zeros.
+    """
 
     grad_tol: float = 1e-8
     rel_energy_tol: float = 1e-12
@@ -82,13 +92,25 @@ class SolverReport:
     potentials: np.ndarray
 
 
-# smallest positive float: floor of the energy scale in the plateau test
+# smallest positive float: floor of the energy scale in the stopping rule
 _TINY = np.finfo(float).tiny
 
+# edge curvatures below this share of the largest are raised to it when the
+# Newton step is formed: for p > 2 tied drops have (next to) zero curvature,
+# which leaves the Laplacian they weight singular wherever a group of free
+# vertices ties with the one vertex linking it to the rest, as a pendant
+# subtree does at the optimum. The floor changes the step, never the energy
+# or gradient, so an accepted step still descends
+_CURVATURE_FLOOR = 1e-14
 
-def _edge_kernel(ei, ej, w, x, p, eps2=0.0, gradient=False):
+
+def _edge_kernel(ei, ej, w, x, p, eps2=0.0, gradient=False, curvature=False):
     """Smoothed p-energy sum over edges of w (d^2 + eps2)^(p/2), with the
-    edge drops d = x[ei] - x[ej]; with `gradient` its gradient in x instead.
+    edge drops d = x[ei] - x[ej]; with `gradient` its gradient in x instead,
+    and with `curvature` as well the pair (gradient, edge curvatures), the
+    second derivatives p w (d^2 + eps2)^((p-4)/2) ((p-1) d^2 + eps2) of each
+    edge term in its drop. The Hessian in x is the Laplacian weighted by the
+    edge curvatures.
 
     At eps2 = 0 this is the plain p-energy sum w |d|^p, and tied coordinates
     contribute exactly 0 to the gradient.
@@ -101,11 +123,13 @@ def _edge_kernel(ei, ej, w, x, p, eps2=0.0, gradient=False):
         # a zero base is a tie, whose term the factor d makes 0; a unit base
         # keeps 0 ** negative out of it for p < 2
         base[base == 0.0] = 1.0
-    s = w * p * d * base ** ((p - 2.0) / 2.0)
-    grad = np.zeros(x.size)
-    np.add.at(grad, ei, s)
-    np.add.at(grad, ej, -s)
-    return grad
+    slope = w * p * base ** ((p - 2.0) / 2.0)
+    s = slope * d
+    n = x.size
+    grad = np.bincount(ei, s, minlength=n) - np.bincount(ej, s, minlength=n)
+    if not curvature:
+        return grad
+    return grad, slope / base * ((p - 1.0) * d * d + eps2)
 
 
 def p_energy(g, x, p):
@@ -167,56 +191,81 @@ def _smoothing_ladder(p, eps):
     return ladder
 
 
-def _descend(x, kernel, pinned, grad_tol, rel_energy_tol, max_iter):
-    # monotone gradient descent: Barzilai-Borwein trial step with Armijo
-    # backtracking; runs until energy progress stalls, the gradient meets
-    # the tolerance with no progress left, or the budget runs out.
-    # `kernel(x)` is the energy, `kernel(x, gradient=True)` its gradient;
-    # the `pinned` coordinates never move
-    f = kernel(x)
-    iterations = 0
-    plateau = 0
-    step = 1.0
-    prev_x = None
-    prev_grad = None
+def _hessian_layout(ei, ej, free, n):
+    """Where each edge's four Laplacian entries land in the flattened
+    free-by-free Hessian: flat positions, the edge each entry takes its
+    curvature from, and its sign. Pinned endpoints drop out. Computed once
+    per solve, so that each Newton step assembles its Hessian with one
+    `np.bincount`.
+    """
+    k = free.size
+    pos = np.full(n, -1)
+    pos[free] = np.arange(k)
+    a, b = pos[ei], pos[ej]
+    fa, fb = np.flatnonzero(a >= 0), np.flatnonzero(b >= 0)
+    both = np.flatnonzero((a >= 0) & (b >= 0))
+    flat = np.concatenate([a[fa] * (k + 1), b[fb] * (k + 1),
+                           a[both] * k + b[both], b[both] * k + a[both]])
+    source = np.concatenate([fa, fb, both, both])
+    sign = np.repeat([1.0, 1.0, -1.0, -1.0],
+                     [fa.size, fb.size, both.size, both.size])
+    return flat, source, sign, k
+
+
+def _hessian(curv, layout):
+    """The curvature-weighted Laplacian restricted to the free vertices."""
+    flat, source, sign, k = layout
+    return np.bincount(flat, curv[source] * sign, minlength=k * k).reshape(k, k)
+
+
+def _newton(x, edges, free, layout, p, eps2, cfg, max_steps):
+    # damped Newton on the smoothed energy: the step solves the floored
+    # curvature Laplacian against the free gradient, and Armijo backtracking
+    # accepts it only where the true smoothed energy decreases. A stage
+    # ends once the Newton decrement lam2 = -grad . step says the energy gap
+    # (about lam2 / 2) is within rel_energy_tol, and either the gradient
+    # meets grad_tol or lam2 no longer shrinks tenfold per step (rounding
+    # has taken over); or when no step decreases the energy, or the step
+    # budget is spent
+    ei, ej, w = edges
+    f = _edge_kernel(ei, ej, w, x, p, eps2)
+    steps = 0
+    prev_lam2 = np.inf
     while True:
-        grad = kernel(x, gradient=True)
-        grad[pinned] = 0.0
-        grad_norm = float(np.abs(grad).max())
-        if iterations >= max_iter or grad_norm == 0.0:
+        grad, curv = _edge_kernel(ei, ej, w, x, p, eps2, gradient=True,
+                                  curvature=True)
+        grad = grad[free]
+        grad_norm = float(np.abs(grad).max(initial=0.0))
+        if grad_norm == 0.0:
             break
-        if grad_norm <= grad_tol and plateau >= 2:
+        curv = np.maximum(curv, _CURVATURE_FLOOR * curv.max())
+        try:
+            step = np.linalg.solve(_hessian(curv, layout), -grad)
+        except np.linalg.LinAlgError:
             break
-        if plateau >= 25:
+        lam2 = -float(grad @ step)
+        if not lam2 > 0.0:
             break
-        iterations += 1
-        gsq = float(grad @ grad)
-        if prev_x is not None:
-            s = x - prev_x
-            y = grad - prev_grad
-            sy = float(s @ y)
-            if sy > 0 and np.isfinite(sy):
-                step = float(s @ s) / sy
-        accepted = False
-        t = min(max(step, 1e-300), 1e300)
-        for _ in range(200):
-            x_new = x - t * grad
-            f_new = kernel(x_new)
-            if f_new <= f - 1e-4 * t * gsq:
-                accepted = True
+        if lam2 / 2.0 <= cfg.rel_energy_tol * max(f, _TINY) and (
+            grad_norm <= cfg.grad_tol or lam2 > 0.1 * prev_lam2
+        ):
+            break
+        if steps >= max_steps:
+            break
+        t = 1.0
+        for _ in range(60):
+            trial = x.copy()
+            trial[free] += t * step
+            f_new = _edge_kernel(ei, ej, w, trial, p, eps2)
+            if f_new <= f - 1e-4 * t * lam2:
                 break
             t *= 0.5
-        if not accepted:
-            break
-        drop = f - f_new
-        prev_x, prev_grad = x, grad
-        x, f = x_new, f_new
-        step = t * 2.0
-        if drop <= rel_energy_tol * max(f, _TINY):
-            plateau += 1
         else:
-            plateau = 0
-    return x, grad_norm, iterations
+            break
+        x, f = trial, f_new
+        prev_lam2 = lam2
+        steps += 1
+    return x, grad_norm, steps
 
 
 def ssl_solve(g, p, i, j, cfg=None):
@@ -224,8 +273,9 @@ def ssl_solve(g, p, i, j, cfg=None):
 
     Pinning the two labels eliminates the unit-drop constraint exactly (the
     energy is translation invariant), leaving an unconstrained convex problem
-    over the n - 2 free coordinates. Returns the full `SolverReport`; the
-    reciprocal of its energy is the p-resistance of the pair.
+    over the n - 2 free coordinates, solved by damped Newton steps. Returns
+    the full `SolverReport`; the reciprocal of its energy is the
+    p-resistance of the pair.
     """
     cfg = cfg or SolverConfig()
     if p <= P_MIN:
@@ -239,12 +289,15 @@ def ssl_solve(g, p, i, j, cfg=None):
         x = np.zeros(g.n)
         x[i] = 1.0
 
-    ei, ej, w = g.edge_index_arrays()
+    ei, ej, w = edges = g.edge_index_arrays()
+    free = np.setdiff1d(np.arange(g.n), [i, j])
+    layout = _hessian_layout(ei, ej, free, g.n)
 
-    # The descent works on the smoothed energy sum w (d^2 + eps^2)^(p/2):
-    # same minimizer up to O(eps), but its gradient vanishes continuously at
-    # zero drops, where the raw |d|^(p-1) sgn(d) term flips sign and stalls
-    # the iteration for p close to 1.
+    # Newton works on the smoothed energy sum w (d^2 + eps^2)^(p/2): same
+    # minimizer up to O(eps), but twice differentiable at zero drops, where
+    # the raw |d|^(p-1) sgn(d) term flips sign and its curvature blows up
+    # for p < 2. Large p is reached through a ladder of easier exponents,
+    # p < 2 through a ladder of smoothings, each stage warm-starting the next
     total_iterations = 0
     grad_norm = 0.0
     stages = [
@@ -259,11 +312,10 @@ def ssl_solve(g, p, i, j, cfg=None):
         )
         if budget <= 0:
             break
-        kernel = partial(_edge_kernel, ei, ej, w, p=pp, eps2=eps * eps)
         # overlong line-search probes may overflow to inf; Armijo rejects them
         with np.errstate(over="ignore"):
-            x, grad_norm, its = _descend(
-                x, kernel, [i, j], cfg.grad_tol, cfg.rel_energy_tol, budget
+            x, grad_norm, its = _newton(
+                x, edges, free, layout, pp, eps * eps, cfg, budget
             )
         total_iterations += its
 
@@ -309,7 +361,11 @@ def _approx_sums(drops, w, q):
     peak = np.where(peak == 0.0, 1.0, peak)
     diff /= peak
     diff **= q
-    return peak**q * (w @ diff)
+    # one pair sums in einsum's own loop: the BLAS dot product it would
+    # otherwise call is threaded above 10000 edges and stalls for
+    # milliseconds in some processes
+    total = np.einsum("e,e->", w, diff) if diff.ndim == 1 else w @ diff
+    return peak**q * total
 
 
 def _approx_form(metric, p, form):

@@ -33,6 +33,8 @@ from .resistance import (
     PairQuery,
     SolverConfig,
     _edge_kernel,
+    _hessian,
+    _hessian_layout,
     approx_presistance,
     distance_matrix,
     exact_presistance,
@@ -236,10 +238,13 @@ def suite_metric_triangle(seed=0, graphs=6, n_max=10):
 
 
 def suite_gradient_check(seed=0, cases=20):
-    # the plain gradient away from ties, then the smoothed gradient the
-    # solver descends along, against its own energy with ties included
+    # the plain gradient away from ties, then the smoothed gradient and
+    # Hessian the solver steps with, against its own energy and gradient
+    # with ties included
     fails = []
     rng = np.random.default_rng(seed)
+    # directions for the Hessian check, drawn apart from the cases' stream
+    directions = np.random.default_rng([seed, 1])
     h = 1e-6
     for c in range(cases):
         n = int(rng.integers(3, 12))
@@ -271,6 +276,27 @@ def suite_gradient_check(seed=0, cases=20):
                 denom = max(abs(fd), abs(analytic[v]), floor)
                 if abs(analytic[v] - fd) / denom > 1e-5:
                     fails.append(f"case {c} {label} vertex {v}: gradient mismatch")
+        # the Hessian the Newton step solves, with vertices 0 and n - 1
+        # pinned, against central differences of the smoothed gradient
+        # along a direction that leaves them alone
+        free = np.arange(1, n - 1)
+        layout = _hessian_layout(ei, ej, free, n)
+        direction = np.zeros(n)
+        direction[free] = directions.standard_normal(free.size)
+        for p in (1.1, 1.5, 3.0, 10.0):
+            _, curv = _edge_kernel(ei, ej, w, tied, p, 1e-4, gradient=True,
+                                   curvature=True)
+            hv = _hessian(curv, layout) @ direction[free]
+            fd = (_edge_kernel(ei, ej, w, tied + h * direction, p, 1e-4,
+                               gradient=True)
+                  - _edge_kernel(ei, ej, w, tied - h * direction, p, 1e-4,
+                                 gradient=True))[free] / (2 * h)
+            floor = max(1e-8, 1e-4 * np.abs(hv).max(initial=0.0))
+            for k in range(free.size):
+                denom = max(abs(fd[k]), abs(hv[k]), floor)
+                if abs(hv[k] - fd[k]) / denom > 1e-5:
+                    fails.append(f"case {c} hessian p={p} vertex {free[k]}: "
+                                 "hessian-vector mismatch")
     return fails
 
 

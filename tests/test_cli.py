@@ -104,6 +104,19 @@ def test_cluster_with_labels(tmp_path):
     assert len(doc["assignments"]) == 6
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_cluster_rejects_overflowed_matrix(tmp_path, capsys):
+    out = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "gnp_connected:n=9,edge_prob=0.4",
+                "--p", "1000", "--form", "resistance", "--out", out]) == 0
+    assert np.isinf(load_distance_matrix(out).matrix).any()
+    for method in ("kmedoids", "farthest-first"):
+        assert run(["cluster", "--distances", out, "--k", "2",
+                    "--method", method, "--out", tmp_path / "c.json"]) == 2
+        assert "NonFinite" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_cluster_farthest_first(tmp_path):
     out = tmp_path / "d.bin"
     run(["distances", "--generate", "path:n=5", "--p", "3", "--out", out])
@@ -216,3 +229,28 @@ def test_artifact_bytes_independent_of_output_path(tmp_path):
                     "--out", out]) == 0
         clusters.append(out.read_bytes())
     assert clusters[0] == clusters[1]
+
+
+def test_artifact_bytes_independent_of_input_directory(tmp_path, blob_csv):
+    # the same inputs read from two directories give the same bytes at
+    # every stage: input paths stay out of the recorded configuration
+    outputs = []
+    for name in ("one", "two"):
+        d = tmp_path / name
+        d.mkdir()
+        features = d / "blobs.csv"
+        features.write_bytes(blob_csv.read_bytes())
+        labels = d / "labels.txt"
+        labels.write_text("a\n" * 10 + "b\n" * 10)
+        assert run(["build-graph", "--features", features, "--labels", "last",
+                    "--mu", "0.5", "--sigma", "0.5", "--out", d / "g.edges"]) == 0
+        assert run(["distances", "--graph", d / "g.edges", "--p", "3",
+                    "--out", d / "d.bin"]) == 0
+        assert run(["cluster", "--distances", d / "d.bin", "--k", "2",
+                    "--labels", labels, "--out", d / "c.json"]) == 0
+        outputs.append([(d / f).read_bytes()
+                        for f in ("g.edges", "d.bin", "c.json")])
+    assert outputs[0] == outputs[1]
+    doc = json.loads(outputs[0][2])
+    assert doc["error_rate"] == 0.0
+    assert "distances" not in doc["config"] and "labels" not in doc["config"]

@@ -14,7 +14,7 @@ from presistance import (
     sc2_baseline,
 )
 from presistance.clustering import _pam_build, _pam_pick, _pam_swap
-from presistance.errors import InvalidK, LengthMismatch
+from presistance.errors import InvalidK, LengthMismatch, NonFinite
 
 
 def block_matrix(sizes, within=0.1, across=10.0):
@@ -53,6 +53,21 @@ def test_kmedoids_validation():
         k_medoids(D[:5], 2)
     with pytest.raises(InvalidK):
         k_medoids(D, 2, restarts=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_distances_rejected():
+    # resistance-form values overflow to inf at large p
+    g = generate("gnp_connected", n=9, edge_prob=0.4, seed=0)
+    D = distance_matrix(g, 1000.0, form="resistance").matrix
+    assert np.isinf(D).any()
+    nan = block_matrix([3, 3])
+    nan[0, 4] = nan[4, 0] = np.nan
+    for M in (D, nan):
+        with pytest.raises(NonFinite):
+            k_medoids(M, 2)
+        with pytest.raises(NonFinite):
+            farthest_first(M, 2)
 
 
 def test_kmedoids_deterministic_and_valid():

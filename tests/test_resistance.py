@@ -25,7 +25,12 @@ from presistance import (
     ssl_solve,
 )
 from presistance.errors import DimensionMismatch, FingerprintMismatch, InvalidP
-from presistance.resistance import _approx_sums, _edge_kernel
+from presistance.resistance import (
+    _approx_sums,
+    _edge_kernel,
+    _hessian,
+    _hessian_layout,
+)
 from presistance.verify import clear_faults, inject_fault
 
 from conftest import (
@@ -89,6 +94,91 @@ def test_exact_matches_series_law_on_weighted_trees():
             p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
             r, _ = exact_presistance(g, PairQuery(i, j, p), TIGHT)
             assert r == pytest.approx(tree_series_presistance(g, i, j, p), rel=1e-6)
+
+
+def test_newton_exact_on_trees_with_pendant_subtrees():
+    # off the i-j path every drop is tied at the optimum, so for p > 2 the
+    # curvature Laplacian is singular there without the floor
+    rng = np.random.default_rng(21)
+    checked = 0
+    for seed in range(8):
+        n = int(rng.integers(6, 20))
+        g = generate("random_tree", n=n, seed=40 + seed, weight_range=(0.3, 3.0))
+        hops = 0
+        while hops < 2 or hops > n - 3:  # a path leaving two vertices out
+            i, j = map(int, rng.choice(n, size=2, replace=False))
+            hops = shortest_path(g, i, j, weighted=False)
+        for p in (1.05, 1.5, 3.0, 10.0, 50.0):
+            r, _ = exact_presistance(g, PairQuery(i, j, p), TIGHT)
+            assert r == pytest.approx(tree_series_presistance(g, i, j, p),
+                                      rel=1e-9)
+            checked += 1
+    assert checked == 40
+
+
+def test_newton_energy_not_above_independent_optimizer():
+    # L-BFGS-B from scipy on the free coordinates of the plain p-energy
+    from scipy.optimize import minimize
+
+    for seed in range(3):
+        g = random_connected(12, 1000 + seed)
+        i, j = 0, 11
+        free = np.arange(1, 11)
+        for p in (1.3, 3.0, 7.0):
+            def energy_and_grad(z):
+                x = np.zeros(12)
+                x[i] = 1.0
+                x[free] = z
+                return p_energy(g, x, p), p_energy_gradient(g, x, p)[free]
+
+            res = minimize(energy_and_grad, np.full(10, 0.5), jac=True,
+                           method="L-BFGS-B",
+                           options={"ftol": 1e-15, "gtol": 1e-12,
+                                    "maxiter": 10000})
+            rep = ssl_solve(g, p, i, j, TIGHT)
+            assert rep.energy <= res.fun * (1 + 1e-9)
+
+
+def test_hessian_vector_product_matches_gradient_differences():
+    # the curvature-weighted Laplacian the Newton step solves, assembled
+    # as the solver does with two vertices pinned, against central
+    # differences of the smoothed gradient along a direction that leaves
+    # the pinned vertices alone, ties included; components far below the
+    # largest are held to a tolerance relative to the largest
+    rng = np.random.default_rng(23)
+    h = 1e-6
+    for seed in range(6):
+        g = random_connected(8, 470 + seed)
+        ei, ej, w = g.edge_index_arrays()
+        free = np.arange(1, 7)
+        layout = _hessian_layout(ei, ej, free, g.n)
+        x = rng.permutation(8) / 7.0
+        x[[1, 4, 6]] = x[0]
+        v = np.zeros(8)
+        v[free] = rng.standard_normal(free.size)
+        for p in (1.1, 1.5, 3.0, 10.0):
+            for eps in (1e-1, 1e-2):
+                eps2 = eps * eps
+                _, curv = _edge_kernel(ei, ej, w, x, p, eps2, gradient=True,
+                                       curvature=True)
+                hv = _hessian(curv, layout) @ v[free]
+                fd = (_edge_kernel(ei, ej, w, x + h * v, p, eps2, gradient=True)
+                      - _edge_kernel(ei, ej, w, x - h * v, p, eps2,
+                                     gradient=True))[free] / (2 * h)
+                floor = max(1e-8, 1e-4 * np.abs(hv).max())
+                denom = np.maximum(np.maximum(np.abs(fd), np.abs(hv)), floor)
+                assert np.all(np.abs(hv - fd) / denom <= 1e-5)
+
+
+def test_symmetric_free_vertices_take_no_newton_step():
+    # on K8 every free vertex sits at 1/2 from the p = 2 start on, which is
+    # also the optimum at p = 10 and at the ladder's p = 8: the stopping
+    # rule must accept the start without a step
+    g = generate("complete", n=8)
+    rep = ssl_solve(g, 10.0, 0, 1)
+    assert rep.iterations == 0
+    assert rep.converged
+    assert np.allclose(rep.potentials[2:], 0.5, rtol=0, atol=1e-12)
 
 
 def test_solver_energy_nonincreasing_and_report_shape():
