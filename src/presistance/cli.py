@@ -90,8 +90,15 @@ def _load_graph(args):
         params = {}
         if rest:
             for part in rest.split(","):
-                key, _, val = part.partition("=")
-                params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+                key, sep, val = part.partition("=")
+                try:
+                    if not (key and sep):
+                        raise ValueError
+                    params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+                except ValueError:
+                    raise errors.InvalidParams(
+                        f"--generate parameter {part!r} is not key=number"
+                    ) from None
         return generate(family, seed=getattr(args, "seed", 0), **params)
     if getattr(args, "graph", None):
         return read_edge_list(args.graph)
@@ -134,13 +141,7 @@ def cmd_build_graph(args):
 def cmd_distances(args):
     workers = _resolve_workers(args.workers)
     g = _load_graph(args)
-    cfg = SolverConfig(
-        grad_tol=args.grad_tol,
-        rel_energy_tol=args.rel_energy_tol,
-        max_iter=args.max_iter,
-        smoothing_eps=args.smoothing_eps,
-        init=args.init,
-    )
+    cfg = SolverConfig(grad_tol=args.grad_tol)
     t0 = time.perf_counter()
     pinv = laplacian_pinv(g) if args.mode == "approx" else None
     t_pinv = time.perf_counter() - t0
@@ -308,10 +309,6 @@ def build_parser():
     pd.add_argument("--out", required=True)
     pd.add_argument("--csv", help="also export a plain CSV")
     pd.add_argument("--grad-tol", type=float, default=1e-8)
-    pd.add_argument("--rel-energy-tol", type=float, default=1e-12)
-    pd.add_argument("--max-iter", type=int, default=100000)
-    pd.add_argument("--smoothing-eps", type=float, default=1e-12)
-    pd.add_argument("--init", choices=("p2_warmstart", "zeros"), default="p2_warmstart")
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--workers", type=int, default=None,
                     help="exact-mode processes (default: PRESISTANCE_WORKERS, "

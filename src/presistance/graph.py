@@ -277,6 +277,22 @@ def _example_g3(eps):
     return 6, [(v + 1, v, w) for v, w in enumerate(weights)]
 
 
+# the parameters each `generate` family takes besides the seed
+_FAMILY_PARAMS = {
+    "path": {"n"},
+    "cycle": {"n"},
+    "complete": {"n"},
+    "star": {"n"},
+    "random_tree": {"n", "weight_range"},
+    "gnp_connected": {"n", "edge_prob"},
+    "broom_a": {"delta", "zeta"},
+    "broom_b": {"delta", "zeta"},
+    "example_g1": set(),
+    "example_g2": set(),
+    "example_g3": {"eps"},
+}
+
+
 def generate(family, seed=None, **params):
     """Deterministic graph generators.
 
@@ -298,6 +314,14 @@ def generate(family, seed=None, **params):
     The labelings are canonical for this toolkit and are documented above;
     no claim is made that they match any external drawing vertex-for-vertex.
     """
+    if family not in _FAMILY_PARAMS:
+        raise InvalidParams(f"unknown graph family {family!r}")
+    unknown = sorted(set(params) - _FAMILY_PARAMS[family])
+    if unknown:
+        raise InvalidParams(
+            f"{family} takes no parameter {unknown[0]!r}; "
+            f"it takes {sorted(_FAMILY_PARAMS[family]) or 'none'}"
+        )
     rng = np.random.default_rng(seed)
 
     def need(name):
@@ -350,9 +374,7 @@ def generate(family, seed=None, **params):
         return build_graph(*_example_g1())
     if family == "example_g2":
         return build_graph(*_example_g2())
-    if family == "example_g3":
-        return build_graph(*_example_g3(float(params.get("eps", 0.01))))
-    raise InvalidParams(f"unknown graph family {family!r}")
+    return build_graph(*_example_g3(float(params.get("eps", 0.01))))
 
 
 def write_edge_list(g, path):

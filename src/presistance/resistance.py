@@ -4,12 +4,14 @@ The exact route pins a unit potential drop between a vertex pair and
 minimizes the graph p-energy over the free coordinates with damped Newton
 steps: each step solves the Laplacian weighted by the edge curvatures,
 restricted to the free vertices, and Armijo backtracking on the smoothed
-energy damps it. The approximate route evaluates a conjugate-exponent
-seminorm of pseudoinverse columns, reusing one Laplacian pseudoinverse for
-every pair. Each route has one kernel: `_edge_kernel` for the (smoothed)
-energy, its gradient and its edge curvatures, `_approx_sums` for the
-approximate metric of one pair or of a row of pairs. Combinatorial oracles
-for the two limit regimes (minimum cut and hop distance) live here as well.
+energy damps it. The start is the p = 2 (harmonic) minimizer: one solve
+of that same Hessian at p = 2. The approximate route evaluates a
+conjugate-exponent seminorm of pseudoinverse columns, reusing one Laplacian
+pseudoinverse for every pair. Each route has one kernel: `_edge_kernel` for
+the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
+for the approximate metric of one pair or of a row of pairs. Combinatorial
+oracles for the two limit regimes (minimum cut and hop distance) live here
+as well.
 """
 
 import struct
@@ -24,7 +26,6 @@ from .numerics import (
     P_MIN,
     _signed_power,
     conjugate_exponent,
-    laplacian,
     laplacian_pinv,
 )
 
@@ -51,34 +52,22 @@ class PairQuery:
 class SolverConfig:
     """Settings for the pinned-drop energy minimizer.
 
-    Each stage of the p and smoothing ladders runs damped Newton steps
-    until the Newton decrement puts the energy gap within `rel_energy_tol`
-    of the energy and either the free gradient meets `grad_tol` or the
-    decrement has stopped shrinking tenfold per step. `max_iter` bounds the
-    Newton steps over all stages. `converged` in the report means the final
-    free gradient meets `grad_tol`. `smoothing_eps` is the smoothing of the
-    last stage and `init` the start: the p = 2 potentials or zeros.
+    `grad_tol` is the one setting: `converged` in the report means the
+    final free gradient meets it, and a stage of the p and smoothing
+    ladders may stop early only once it does (or once the Newton decrement
+    has stopped shrinking tenfold per step). The energy tolerance, the
+    final smoothing and the step budget are the module constants
+    `_REL_ENERGY_TOL`, `_SMOOTHING_EPS` and `_MAX_STEPS`.
     """
 
     grad_tol: float = 1e-8
-    rel_energy_tol: float = 1e-12
-    max_iter: int = 100000
-    smoothing_eps: float = 1e-12
-    init: str = "p2_warmstart"
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.rel_energy_tol <= 0 or self.smoothing_eps <= 0:
-            raise InvalidP("solver tolerances must be positive")
-        if self.max_iter < 1:
-            raise InvalidP("max_iter must be at least 1")
-        if self.init not in ("p2_warmstart", "zeros"):
-            raise InvalidP(f"unknown init {self.init!r}")
+        if self.grad_tol <= 0:
+            raise InvalidP(f"grad_tol must be positive, got {self.grad_tol}")
 
     def fingerprint(self):
-        return (
-            f"grad_tol={self.grad_tol!r},rel_energy_tol={self.rel_energy_tol!r},"
-            f"max_iter={self.max_iter},smoothing_eps={self.smoothing_eps!r},init={self.init}"
-        )
+        return f"grad_tol={self.grad_tol!r}"
 
 
 @dataclass(frozen=True)
@@ -94,6 +83,16 @@ class SolverReport:
 
 # smallest positive float: floor of the energy scale in the stopping rule
 _TINY = np.finfo(float).tiny
+
+# a stage stops once the Newton decrement puts its energy within this share
+# of the minimum
+_REL_ENERGY_TOL = 1e-12
+
+# smoothing eps of the last stage, in the energy sum w (d^2 + eps^2)^(p/2)
+_SMOOTHING_EPS = 1e-12
+
+# Newton steps over all stages of one solve; the solves seen take under 100
+_MAX_STEPS = 3000
 
 # edge curvatures below this share of the largest are raised to it when the
 # Newton step is formed: for p > 2 tied drops have (next to) zero curvature,
@@ -146,21 +145,6 @@ def p_energy_gradient(g, x, p):
     """
     ei, ej, w = g.edge_index_arrays()
     return _edge_kernel(ei, ej, w, np.asarray(x, dtype=float), p, gradient=True)
-
-
-def _warm_start(g, i, j):
-    # L+ (e_i - e_j) via the rank-one shift solve, rescaled to pin i at 1, j at 0
-    L = laplacian(g)
-    n = g.n
-    rhs = np.zeros(n)
-    rhs[i], rhs[j] = 1.0, -1.0
-    y = np.linalg.solve(L + np.full((n, n), 1.0 / n), rhs)
-    drop = y[i] - y[j]
-    if not np.isfinite(drop) or drop <= 0:
-        x = np.zeros(n)
-        x[i] = 1.0
-        return x
-    return (y - y[j]) / drop
 
 
 def _continuation_exponents(p):
@@ -218,12 +202,31 @@ def _hessian(curv, layout):
     return np.bincount(flat, curv[source] * sign, minlength=k * k).reshape(k, k)
 
 
-def _newton(x, edges, free, layout, p, eps2, cfg, max_steps):
+def _p2_start(edges, free, layout, i, n):
+    """The p = 2 (harmonic) potentials with x_i = 1 and 0 at the other
+    vertex missing from `free`: one Newton step of the quadratic energy from
+    the unit start e_i, whose Hessian is the Laplacian with edge curvatures
+    2 w. The unit start stays where that solve fails.
+    """
+    ei, ej, w = edges
+    x = np.zeros(n)
+    x[i] = 1.0
+    grad = _edge_kernel(ei, ej, w, x, 2.0, gradient=True)[free]
+    try:
+        step = np.linalg.solve(_hessian(2.0 * w, layout), -grad)
+    except np.linalg.LinAlgError:
+        return x
+    if np.all(np.isfinite(step)):
+        x[free] = step
+    return x
+
+
+def _newton(x, edges, free, layout, p, eps2, grad_tol, max_steps):
     # damped Newton on the smoothed energy: the step solves the floored
     # curvature Laplacian against the free gradient, and Armijo backtracking
     # accepts it only where the true smoothed energy decreases. A stage
     # ends once the Newton decrement lam2 = -grad . step says the energy gap
-    # (about lam2 / 2) is within rel_energy_tol, and either the gradient
+    # (about lam2 / 2) is within _REL_ENERGY_TOL, and either the gradient
     # meets grad_tol or lam2 no longer shrinks tenfold per step (rounding
     # has taken over); or when no step decreases the energy, or the step
     # budget is spent
@@ -246,8 +249,8 @@ def _newton(x, edges, free, layout, p, eps2, cfg, max_steps):
         lam2 = -float(grad @ step)
         if not lam2 > 0.0:
             break
-        if lam2 / 2.0 <= cfg.rel_energy_tol * max(f, _TINY) and (
-            grad_norm <= cfg.grad_tol or lam2 > 0.1 * prev_lam2
+        if lam2 / 2.0 <= _REL_ENERGY_TOL * max(f, _TINY) and (
+            grad_norm <= grad_tol or lam2 > 0.1 * prev_lam2
         ):
             break
         if steps >= max_steps:
@@ -283,15 +286,10 @@ def ssl_solve(g, p, i, j, cfg=None):
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
 
-    if cfg.init == "p2_warmstart":
-        x = _warm_start(g, i, j)
-    else:
-        x = np.zeros(g.n)
-        x[i] = 1.0
-
     ei, ej, w = edges = g.edge_index_arrays()
     free = np.setdiff1d(np.arange(g.n), [i, j])
     layout = _hessian_layout(ei, ej, free, g.n)
+    x = _p2_start(edges, free, layout, i, g.n)
 
     # Newton works on the smoothed energy sum w (d^2 + eps^2)^(p/2): same
     # minimizer up to O(eps), but twice differentiable at zero drops, where
@@ -300,24 +298,16 @@ def ssl_solve(g, p, i, j, cfg=None):
     # p < 2 through a ladder of smoothings, each stage warm-starting the next
     total_iterations = 0
     grad_norm = 0.0
-    stages = [
-        (pp, eps)
-        for pp in _continuation_exponents(p)
-        for eps in _smoothing_ladder(pp, cfg.smoothing_eps)
-    ]
-    for stage_idx, (pp, eps) in enumerate(stages):
-        final = stage_idx == len(stages) - 1
-        budget = cfg.max_iter - total_iterations if final else min(
-            3000, cfg.max_iter - total_iterations
-        )
-        if budget <= 0:
-            break
-        # overlong line-search probes may overflow to inf; Armijo rejects them
-        with np.errstate(over="ignore"):
-            x, grad_norm, its = _newton(
-                x, edges, free, layout, pp, eps * eps, cfg, budget
-            )
-        total_iterations += its
+    for pp in _continuation_exponents(p):
+        for eps in _smoothing_ladder(pp, _SMOOTHING_EPS):
+            # overlong line-search probes may overflow to inf; Armijo
+            # rejects them
+            with np.errstate(over="ignore"):
+                x, grad_norm, its = _newton(
+                    x, edges, free, layout, pp, eps * eps, cfg.grad_tol,
+                    _MAX_STEPS - total_iterations,
+                )
+            total_iterations += its
 
     return SolverReport(
         energy=_edge_kernel(ei, ej, w, x, p),
@@ -526,21 +516,31 @@ def save_distance_matrix(dm, path):
 
 def load_distance_matrix(path):
     with open(path, "rb") as f:
-        if f.read(4) != _DMAT_MAGIC:
-            raise FingerprintMismatch(f"{path} is not a distance-matrix file")
-        (hlen,) = struct.unpack("<Q", f.read(8))
-        fields = f.read(hlen).decode().split("\x1f")
-        data = np.frombuffer(f.read(), dtype="<f8")
-    n = int(fields[0])
-    if data.size != n * n:
+        blob = f.read()
+    if blob[:4] != _DMAT_MAGIC:
+        raise FingerprintMismatch(f"{path} is not a distance-matrix file")
+    # a cut or garbled file fails anywhere below: in the length prefix, the
+    # header bytes or fields, or the float payload
+    try:
+        (hlen,) = struct.unpack_from("<Q", blob, 4)
+        header = blob[12 : 12 + hlen]
+        if len(header) != hlen:
+            raise ValueError(f"header of {hlen} bytes cut at {len(header)}")
+        fields = header.decode().split("\x1f")
+        n, p, mode, form, graph_fp, config_fp = fields[:6]
+        n, p = int(n), float(p)
+        data = np.frombuffer(blob, dtype="<f8", offset=12 + hlen)
+    except (struct.error, ValueError) as exc:
+        raise FingerprintMismatch(f"{path}: malformed distance-matrix file ({exc})") from None
+    if n < 0 or data.size != n * n:
         raise FingerprintMismatch(f"{path}: expected {n * n} floats, got {data.size}")
     return DistanceMatrix(
         matrix=data.reshape(n, n).copy(),
-        p=float(fields[1]),
-        mode=fields[2],
-        form=fields[3],
-        graph_fingerprint=fields[4],
-        config_fingerprint=fields[5],
+        p=p,
+        mode=mode,
+        form=form,
+        graph_fingerprint=graph_fp,
+        config_fingerprint=config_fp,
         meta=fields[6] if len(fields) > 6 else "",
     )
 

@@ -204,6 +204,43 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_malformed_generate_spec_exit_2(tmp_path, capsys):
+    for spec in ("path:n", "path:n=abc", "path:=4", "gnp_connected:n=12,edge_pro=0.05"):
+        assert run(["distances", "--generate", spec, "--p", "3",
+                    "--out", tmp_path / "d.bin"]) == 2
+        assert "InvalidParams" in capsys.readouterr().err
+    assert not (tmp_path / "d.bin").exists()
+
+
+def test_cluster_on_malformed_matrix_file_exit_2(tmp_path, capsys):
+    good = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--out", good]) == 0
+    blob = good.read_bytes()
+    bad = tmp_path / "bad.bin"
+    for cut in (blob[:10], b"PDMX" + (3).to_bytes(8, "little") + b"abc",
+                blob[:-5]):
+        bad.write_bytes(cut)
+        assert run(["cluster", "--distances", bad, "--k", "2",
+                    "--out", tmp_path / "c.json"]) == 2
+        assert "FingerprintMismatch" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()
+
+
+def test_distances_takes_no_solver_knobs_but_grad_tol(tmp_path):
+    out = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--mode", "exact", "--grad-tol", "1e-10", "--workers", "1",
+                "--out", out]) == 0
+    assert load_distance_matrix(out).config_fingerprint == "grad_tol=1e-10"
+    for flag, value in (("--rel-energy-tol", "1e-12"), ("--max-iter", "5"),
+                        ("--smoothing-eps", "1e-12"), ("--init", "zeros")):
+        with pytest.raises(SystemExit) as exc:
+            run(["distances", "--generate", "path:n=4", "--p", "3",
+                 flag, value, "--out", out])
+        assert exc.value.code == 2
+
+
 def test_bad_workers_env_only_breaks_distances(tmp_path, monkeypatch):
     monkeypatch.setenv("PRESISTANCE_WORKERS", "abc")
     assert run(["verify", "--suite", "laplacian-identities", "--quiet"]) == 0

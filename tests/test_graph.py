@@ -160,6 +160,18 @@ def test_generate_validates_params():
         generate("path")
 
 
+def test_generate_rejects_parameters_its_family_does_not_take():
+    with pytest.raises(InvalidParams, match="edge_pro"):
+        generate("gnp_connected", n=12, edge_pro=0.05)
+    with pytest.raises(InvalidParams):
+        generate("path", n=4, edge_prob=0.5)
+    with pytest.raises(InvalidParams):
+        generate("example_g1", n=11)
+    # the seed is not a family parameter: every family accepts it
+    assert generate("example_g1", seed=3).n == 11
+    assert generate("random_tree", n=6, seed=1, weight_range=(1.0, 2.0)).n == 6
+
+
 def test_edge_list_round_trip(tmp_path):
     g = generate("gnp_connected", n=9, edge_prob=0.5, seed=2)
     path = tmp_path / "g.edges"

@@ -14,6 +14,7 @@ from presistance import (
     export_distance_csv,
     generate,
     knn_gaussian_graph,
+    laplacian,
     laplacian_pinv,
     load_distance_matrix,
     load_features,
@@ -30,6 +31,7 @@ from presistance.resistance import (
     _edge_kernel,
     _hessian,
     _hessian_layout,
+    _p2_start,
 )
 from presistance.verify import clear_faults, inject_fault
 
@@ -53,10 +55,6 @@ def test_pair_query_validation():
 def test_solver_config_validation():
     with pytest.raises(InvalidP):
         SolverConfig(grad_tol=0.0)
-    with pytest.raises(InvalidP):
-        SolverConfig(max_iter=0)
-    with pytest.raises(InvalidP):
-        SolverConfig(init="magic")
 
 
 def test_exact_single_edge_inverse_weight():
@@ -208,13 +206,6 @@ def test_ssl_solve_pins_and_symmetry():
     assert rep.potentials[2] == pytest.approx(0.5, abs=1e-8)
 
 
-def test_zeros_init_reaches_same_energy():
-    g = random_connected(8, 5)
-    a = ssl_solve(g, 3.0, 0, 7, SolverConfig(grad_tol=1e-10, init="p2_warmstart"))
-    b = ssl_solve(g, 3.0, 0, 7, SolverConfig(grad_tol=1e-10, init="zeros"))
-    assert a.energy == pytest.approx(b.energy, rel=1e-7)
-
-
 def test_approx_equals_exact_on_trees():
     rng = np.random.default_rng(2)
     for seed in range(5):
@@ -355,6 +346,38 @@ def test_distance_matrix_persistence(tmp_path):
     rows = [r for r in csv_path.read_text().splitlines() if not r.startswith("#")]
     assert len(rows) == g.n
     assert float(rows[0].split(",")[0]) == 0.0
+
+
+def test_load_distance_matrix_rejects_malformed_files(tmp_path):
+    dm = distance_matrix(random_connected(5, 8), 2.5)
+    path = tmp_path / "d.bin"
+    save_distance_matrix(dm, path)
+    good = path.read_bytes()
+    hlen = int.from_bytes(good[4:12], "little")
+
+    def header(*fields):
+        text = "\x1f".join(fields).encode()
+        return b"PDMX" + len(text).to_bytes(8, "little") + text
+
+    cases = {
+        "length prefix cut": good[:10],
+        "header cut": good[: 12 + hlen // 2],
+        "payload cut": good[:-8],
+        "payload not whole floats": good[:-3],
+        "three-byte header": header("abc"),
+        "too few fields": header("0", "2.5", "approx"),
+        "size not an integer": header("x", "2.5", "approx", "metric", "g", "c"),
+        "p not a number": header("0", "two", "approx", "metric", "g", "c"),
+        "negative size": header("-1", "2.5", "approx", "metric", "g", "c")
+        + bytes(8),
+        "header not text": b"PDMX" + (2).to_bytes(8, "little") + b"\xff\xfe",
+    }
+    for blob in cases.values():
+        path.write_bytes(blob)
+        with pytest.raises(FingerprintMismatch):
+            load_distance_matrix(path)
+    path.write_bytes(header("0", "2.5", "approx", "metric", "g", "c"))
+    assert load_distance_matrix(path).n == 0
 
 
 def test_mincut_values():
@@ -559,23 +582,52 @@ def test_approx_against_independent_stack():
             assert got == pytest.approx(expected, rel=1e-9)
 
 
+def _harmonic_extension(g, i, j):
+    # independent p = 2 potentials: L+ (e_i - e_j) from a dense
+    # pseudoinverse, shifted and scaled to pin i at 1 and j at 0
+    Lp = np.linalg.pinv(laplacian(g))
+    y = Lp[:, i] - Lp[:, j]
+    return (y - y[j]) / (y[i] - y[j])
+
+
+def _solver_start(g, i, j):
+    ei, ej, w = edges = g.edge_index_arrays()
+    free = np.setdiff1d(np.arange(g.n), [i, j])
+    return _p2_start(edges, free, _hessian_layout(ei, ej, free, g.n), i, g.n)
+
+
+def test_p2_start_is_harmonic_extension_random_graphs():
+    rng = np.random.default_rng(23)
+    for seed in range(6):
+        g = random_connected(int(rng.integers(3, 30)), 1000 + seed,
+                             edge_prob=float(rng.uniform(0.1, 0.6)))
+        for _ in range(3):
+            i, j = map(int, rng.choice(g.n, size=2, replace=False))
+            x = _solver_start(g, i, j)
+            assert x[i] == 1.0 and x[j] == 0.0
+            assert np.abs(x - _harmonic_extension(g, i, j)).max() <= 1e-12
+
+
+def test_p2_start_is_harmonic_extension_iris(iris_csv):
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1.0))
+    rng = np.random.default_rng(5)
+    for i, j in [(0, 149)] + [tuple(map(int, rng.choice(g.n, size=2, replace=False)))
+                              for _ in range(4)]:
+        x = _solver_start(g, i, j)
+        assert np.abs(x - _harmonic_extension(g, i, j)).max() <= 1e-12
+
+
 def test_solver_never_beats_its_start_energy():
-    # the descent is monotone: final energy never exceeds either start
+    # the descent is monotone: the final energy never exceeds the energy of
+    # the p = 2 potentials it starts from
     rng = np.random.default_rng(17)
     for seed in range(5):
         g = random_connected(9, 800 + seed)
         i, j = map(int, rng.choice(9, size=2, replace=False))
         p = float(rng.choice([1.3, 2.5, 7.0]))
-        from presistance.resistance import _warm_start
-
-        warm = p_energy(g, _warm_start(g, i, j), p)
-        zeros = np.zeros(9)
-        zeros[i] = 1.0
-        cold = p_energy(g, zeros, p)
-        rep_w = ssl_solve(g, p, i, j, SolverConfig(init="p2_warmstart"))
-        rep_z = ssl_solve(g, p, i, j, SolverConfig(init="zeros"))
-        assert rep_w.energy <= warm * (1 + 1e-12)
-        assert rep_z.energy <= cold * (1 + 1e-12)
+        start = p_energy(g, _harmonic_extension(g, i, j), p)
+        assert ssl_solve(g, p, i, j).energy <= start * (1 + 1e-12)
 
 
 def test_limits_on_structured_graphs():
