@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, errors
 from .clustering import error_rate, farthest_first, k_medoids
-from .graph import generate, read_edge_list
+from .graph import format_edge_list, generate, read_edge_list
 from .numerics import approximation_bound, edge_projector, laplacian_pinv, matrix_op_pnorm
 from .pipeline import (
     GraphBuildParams,
@@ -124,16 +124,13 @@ def cmd_build_graph(args):
         on_disconnect=args.on_disconnect,
     )
     g = knn_gaussian_graph(ds, params)
-    w = g.weights()
     with open(args.out, "w") as f:
         f.write(f"# presistance {__version__}\n")
         f.write(f"# config: {_run_config(args)}\n")
-        f.write(f"# n={g.n} m={g.m}\n")
-        for i, j, wt in g.edges:
-            f.write(f"{i} {j} {wt!r}\n")
+        f.write(format_edge_list(g))
     print(
         f"graph: n={g.n} m={g.m} k={int(np.floor(args.mu * ds.n))} connected=yes "
-        f"min_w={w.min():.6g} max_w={w.max():.6g} -> {args.out}"
+        f"min_w={g.w.min():.6g} max_w={g.w.max():.6g} -> {args.out}"
     )
     return 0
 
@@ -274,6 +271,18 @@ def cmd_verify(args):
     return 0 if report["passed"] else 1
 
 
+def _config_defaults(path):
+    """The `--config` file: a JSON object of option dest names to defaults."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise errors.InvalidParams(f"cannot read config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise errors.InvalidParams(f"config {path} is not a JSON object")
+    return doc
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="presistance",
@@ -282,7 +291,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--config",
-        help="JSON file of defaults for any flag (dest names as keys)",
+        help="JSON object of defaults for the subcommand's flags (dest names as keys)",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -382,20 +391,24 @@ def main(argv=None):
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if known.config:
-        try:
-            with open(known.config) as f:
-                defaults = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {known.config}: {exc}", file=sys.stderr)
-            return 2
-        for sp in parser._subparsers._group_actions[0].choices.values():
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k != "subcommand"})
+    subparsers = parser._subparsers._group_actions[0].choices
+    options = {
+        name: {a.dest for a in sp._actions} - {"help"}
+        for name, sp in subparsers.items()
+    }
+    try:
+        defaults = _config_defaults(known.config) if known.config else {}
+        for name, sp in subparsers.items():
+            sp.set_defaults(**{k: v for k, v in defaults.items() if k in options[name]})
             for action in sp._actions:
                 if action.dest in defaults:
                     action.required = False
-    try:
         args = parser.parse_args(argv)
+        unknown = sorted(set(defaults) - options[args.subcommand])
+        if unknown:
+            raise errors.InvalidParams(
+                f"config key {unknown[0]!r} is not an option of {args.subcommand}"
+            )
         return args.func(args)
     except errors.PresistanceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

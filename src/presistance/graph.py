@@ -1,16 +1,19 @@
 """Graph representation, incidence/Laplacian construction, and generators.
 
-Vertices are 0-based. Edges are stored canonically as (i, j, w) with i > j,
-in insertion order; that order fixes the rows of the incidence matrix.
-All matrix representations are dense (the Laplacian pseudoinverse is dense
-even for sparse graphs, so sparsity is not exploited anywhere).
+Vertices are 0-based. A graph is three read-only arrays `(ei, ej, w)`, one
+entry per edge with ei > ej and w > 0, in insertion order; that order fixes
+the rows of the incidence matrix and the fingerprint. Connectivity comes from
+`scipy.sparse.csgraph`; the incidence and Laplacian matrices are dense,
+because the Laplacian pseudoinverse every later layer reads is dense.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     Disconnected,
@@ -21,7 +24,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Weighted undirected connected graph with a fixed edge ordering.
 
@@ -29,51 +32,36 @@ class Graph:
     ----------
     n : int
         Vertex count.
-    edges : tuple of (i, j, w)
-        Canonical edges, i > j, strictly positive weights, insertion order.
+    ei, ej : int arrays
+        Edge heads and tails, ei[k] > ej[k], in insertion order (read-only).
+    w : float array
+        Strictly positive edge weights, aligned with ei and ej (read-only).
     kept : tuple of int, optional
         When the graph was restricted to its largest component, the original
         vertex ids of the surviving vertices (index k here was `kept[k]`).
     """
 
     n: int
-    edges: tuple
-    kept: tuple = field(default=None, compare=False)
+    ei: np.ndarray
+    ej: np.ndarray
+    w: np.ndarray
+    kept: tuple = None
 
     @property
     def m(self):
-        return len(self.edges)
+        return len(self.w)
 
-    @cached_property
-    def _edge_arrays(self):
-        ei = np.array([i for i, _, _ in self.edges], dtype=int)
-        ej = np.array([j for _, j, _ in self.edges], dtype=int)
-        w = np.array([w for _, _, w in self.edges], dtype=float)
-        for arr in (ei, ej, w):
-            arr.flags.writeable = False
-        return ei, ej, w
-
-    def weights(self):
-        return self._edge_arrays[2]
-
-    def edge_index_arrays(self):
-        """Return read-only (heads, tails, weights) arrays; heads[k] > tails[k]."""
-        return self._edge_arrays
-
-    def neighbors(self):
-        """Adjacency lists as {vertex: [(other, weight), ...]}."""
-        adj = {u: [] for u in range(self.n)}
-        for i, j, w in self.edges:
-            adj[i].append((j, w))
-            adj[j].append((i, w))
-        return adj
+    @property
+    def edges(self):
+        """The edges as a tuple of (i, j, w) Python values, built per call."""
+        return tuple(zip(self.ei.tolist(), self.ej.tolist(), self.w.tolist()))
 
     @cached_property
     def _fingerprint(self):
+        # hashes Python ints and floats: the repr of a numpy scalar differs
         h = hashlib.sha256()
         h.update(f"{self.n}:{self.m}".encode())
-        for i, j, w in self.edges:
-            h.update(f"{i},{j},{w!r};".encode())
+        h.update(_format_edges("{},{},{!r};", self).encode())
         return f"{self.n}:{self.m}:{h.hexdigest()}"
 
     def fingerprint(self):
@@ -81,23 +69,21 @@ class Graph:
         return self._fingerprint
 
 
-def _components(n, edges):
-    parent = list(range(n))
+def _format_edges(template, g):
+    return "".join(map(template.format, g.ei.tolist(), g.ej.tolist(), g.w.tolist()))
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
 
-    for i, j, _ in edges:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    comps = {}
-    for v in range(n):
-        comps.setdefault(find(v), []).append(v)
-    return list(comps.values())
+def _component_labels(n, ei, ej):
+    # connected_components numbers components in order of their smallest
+    # vertex, which is the order `Disconnected` lists them in
+    A = csr_matrix((np.ones(len(ei)), (ei, ej)), shape=(n, n))
+    return connected_components(A, directed=False)
+
+
+def _frozen(*arrays):
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def build_graph(n, edge_list, largest_component=False):
@@ -107,70 +93,79 @@ def build_graph(n, edge_list, largest_component=False):
     ----------
     n : int
         Vertex count; indices must lie in [0, n).
-    edge_list : iterable of (i, j, w)
-        Undirected weighted edges, w > 0.
+    edge_list : sequence of (i, j, w), or an (m, 3) array
+        Undirected weighted edges, w > 0. Indices are truncated to integers.
     largest_component : bool
         Off by default: a disconnected input raises `Disconnected`. When on,
         the graph is restricted to its largest component (ties broken by the
         smallest contained vertex id) and vertices are relabeled 0..n'-1 with
         the original ids recorded in `Graph.kept`.
+
+    Each check names the first edge that fails it; the checks run in the
+    order range, self-loop, weight, duplicate.
     """
     if n < 1:
         raise InvalidParams(f"vertex count must be positive, got {n}")
-    canonical = []
-    seen = set()
-    for i, j, w in edge_list:
-        i, j = int(i), int(j)
-        w = float(w)
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidParams(f"edge ({i},{j}) out of range for n={n}")
-        if i == j:
-            raise SelfLoop(f"self-loop at vertex {i}")
-        if w <= 0 or not np.isfinite(w):
-            raise NonPositiveWeight(f"edge ({i},{j}) has weight {w}")
-        if i < j:
-            i, j = j, i
-        if (i, j) in seen:
-            raise DuplicateEdge(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
-        canonical.append((i, j, w))
+    E = np.asarray(edge_list, dtype=float)
+    if E.size == 0:
+        E = E.reshape(0, 3)
+    if E.ndim != 2 or E.shape[1] != 3:
+        raise InvalidParams("edges must be (i, j, w) triples")
+    ij, w = np.trunc(E[:, :2]), E[:, 2].copy()  # a copy: the graph freezes w
+    bad = ~((ij >= 0) & (ij < n)).all(axis=1)
+    if bad.any():
+        a, b = ij[np.argmax(bad)]
+        raise InvalidParams(f"edge ({a:.0f},{b:.0f}) out of range for n={n}")
+    i, j = ij.astype(int).T
+    bad = i == j
+    if bad.any():
+        raise SelfLoop(f"self-loop at vertex {i[np.argmax(bad)]}")
+    bad = ~(w > 0) | ~np.isfinite(w)
+    if bad.any():
+        k = np.argmax(bad)
+        raise NonPositiveWeight(f"edge ({i[k]},{j[k]}) has weight {float(w[k])}")
+    ei, ej = np.maximum(i, j), np.minimum(i, j)
+    key = ei * n + ej
+    order = np.argsort(key, kind="stable")
+    repeats = order[1:][key[order][1:] == key[order][:-1]]
+    if repeats.size:
+        k = repeats.min()
+        raise DuplicateEdge(f"duplicate edge ({ei[k]},{ej[k]})")
 
-    comps = _components(n, canonical)
-    if len(comps) > 1:
+    count, labels = _component_labels(n, ei, ej)
+    if count > 1:
         if not largest_component:
-            raise Disconnected(comps)
-        comps.sort(key=lambda c: (-len(c), min(c)))
-        keep = sorted(comps[0])
-        relabel = {v: k for k, v in enumerate(keep)}
-        sub = [
-            (max(relabel[i], relabel[j]), min(relabel[i], relabel[j]), w)
-            for i, j, w in canonical
-            if i in relabel and j in relabel
-        ]
-        return Graph(n=len(keep), edges=tuple(sub), kept=tuple(keep))
-    return Graph(n=n, edges=tuple(canonical))
+            by_label = np.argsort(labels, kind="stable")
+            bounds = np.cumsum(np.bincount(labels))[:-1]
+            raise Disconnected([c.tolist() for c in np.split(by_label, bounds)])
+        # argmax takes the first of equal sizes: the smallest contained vertex
+        main = np.argmax(np.bincount(labels))
+        keep = np.flatnonzero(labels == main)
+        relabel = np.cumsum(labels == main) - 1
+        inside = labels[ei] == main
+        return Graph(
+            len(keep), *_frozen(relabel[ei[inside]], relabel[ej[inside]], w[inside]),
+            kept=tuple(keep.tolist()),
+        )
+    return Graph(n, *_frozen(ei, ej, w))
 
 
 def incidence(g):
     """Signed incidence matrix, one row per edge: +1 at column i, -1 at j (i > j)."""
     C = np.zeros((g.m, g.n))
-    for row, (i, j, _) in enumerate(g.edges):
-        C[row, i] = 1.0
-        C[row, j] = -1.0
+    rows = np.arange(g.m)
+    C[rows, g.ei] = 1.0
+    C[rows, g.ej] = -1.0
     return C
-
-
-def adjacency(g):
-    A = np.zeros((g.n, g.n))
-    for i, j, w in g.edges:
-        A[i, j] = w
-        A[j, i] = w
-    return A
 
 
 def laplacian(g):
     """Dense graph Laplacian, degree matrix minus adjacency."""
-    A = adjacency(g)
+    # summing the rows of the filled adjacency keeps the degree bytes of
+    # the edge-by-edge construction; a bincount over edges does not
+    A = np.zeros((g.n, g.n))
+    A[g.ei, g.ej] = g.w
+    A[g.ej, g.ei] = g.w
     return np.diag(A.sum(axis=1)) - A
 
 
@@ -208,20 +203,19 @@ def _prufer_tree(n, rng):
 
 
 def _gnp_connected(n, edge_prob, rng):
-    edges = []
-    for i in range(1, n):
-        for j in range(i):
-            if rng.random() < edge_prob:
-                edges.append((i, j, 1.0))
+    # one draw per vertex pair, row-major over the lower triangle
+    ei, ej = np.tril_indices(n, -1)
+    chosen = rng.random(len(ei)) < edge_prob
+    ei, ej = ei[chosen], ej[chosen]
     # stitch components together deterministically until connected
-    comps = _components(n, edges)
-    while len(comps) > 1:
-        comps.sort(key=min)
-        a = comps[0][int(rng.integers(0, len(comps[0])))]
-        b = comps[1][int(rng.integers(0, len(comps[1])))]
-        edges.append((max(a, b), min(a, b), 1.0))
-        comps = _components(n, edges)
-    return edges
+    count, labels = _component_labels(n, ei, ej)
+    while count > 1:
+        first, second = np.flatnonzero(labels == 0), np.flatnonzero(labels == 1)
+        a = first[int(rng.integers(0, len(first)))]
+        b = second[int(rng.integers(0, len(second)))]
+        ei, ej = np.append(ei, max(a, b)), np.append(ej, min(a, b))
+        count, labels = _component_labels(n, ei, ej)
+    return np.column_stack((ei, ej, np.ones(len(ei))))
 
 
 def _broom(delta, zeta, extra_edge):
@@ -241,32 +235,23 @@ def _broom(delta, zeta, extra_edge):
     return n, edges
 
 
+def _clique(lo, hi):
+    # unit edges between all vertices in [lo, hi), row-major: (a, b), a > b
+    a, b = np.tril_indices(hi - lo, -1)
+    return np.column_stack((a + lo, b + lo, np.ones(len(a))))
+
+
 def _example_g1():
     # pendant vertex 0 on a clique {1..5}, bridged by {4,5}x{6,7} to a
     # second clique {6..10}; the two natural clusters are {0..5} and {6..10}
-    edges = [(1, 0, 1.0)]
-    for a in range(1, 6):
-        for b in range(1, a):
-            edges.append((a, b, 1.0))
-    for a in range(6, 11):
-        for b in range(6, a):
-            edges.append((a, b, 1.0))
-    for a in (6, 7):
-        for b in (4, 5):
-            edges.append((a, b, 1.0))
-    return 11, edges
+    bridges = [(a, b, 1.0) for a in (6, 7) for b in (4, 5)]
+    return 11, np.vstack(([(1, 0, 1.0)], _clique(1, 6), _clique(6, 11), bridges))
 
 
 def _example_g2():
     # clique {0..4} sharing vertex 4 with the 6-cycle 4-5-6-7-8-9-4
-    edges = []
-    for a in range(5):
-        for b in range(a):
-            edges.append((a, b, 1.0))
-    cycle = [4, 5, 6, 7, 8, 9]
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        edges.append((max(a, b), min(a, b), 1.0))
-    return 10, edges
+    cycle = [(v + 1, v, 1.0) for v in range(4, 9)] + [(9, 4, 1.0)]
+    return 10, np.vstack((_clique(0, 5), cycle))
 
 
 def _example_g3(eps):
@@ -344,7 +329,7 @@ def generate(family, seed=None, **params):
         n = int(need("n"))
         if n < 2:
             raise InvalidParams("complete requires n >= 2")
-        return build_graph(n, [(i, j, 1.0) for i in range(n) for j in range(i)])
+        return build_graph(n, _clique(0, n))
     if family == "star":
         n = int(need("n"))
         if n < 2:
@@ -358,8 +343,9 @@ def generate(family, seed=None, **params):
         lo, hi = params.get("weight_range", (1.0, 1.0))
         if not (0 < lo <= hi):
             raise InvalidParams("weight_range must satisfy 0 < lo <= hi")
+        edges = np.array(edges, dtype=float)
         if hi > lo:
-            edges = [(i, j, float(rng.uniform(lo, hi))) for i, j, _ in edges]
+            edges[:, 2] = rng.uniform(lo, hi, size=len(edges))
         return build_graph(n, edges)
     if family == "gnp_connected":
         n = int(need("n"))
@@ -377,12 +363,15 @@ def generate(family, seed=None, **params):
     return build_graph(*_example_g3(float(params.get("eps", 0.01))))
 
 
+def format_edge_list(g):
+    """The canonical `i j w` edge-list text, headed by an `# n= m=` comment."""
+    return f"# n={g.n} m={g.m}\n" + _format_edges("{} {} {!r}\n", g)
+
+
 def write_edge_list(g, path):
     """Write the canonical `i j w` edge-list text format."""
     with open(path, "w") as f:
-        f.write(f"# n={g.n} m={g.m}\n")
-        for i, j, w in g.edges:
-            f.write(f"{i} {j} {w!r}\n")
+        f.write(format_edge_list(g))
 
 
 def read_edge_list(path, largest_component=False):

@@ -62,8 +62,7 @@ def graph_p_seminorm(g, x, p):
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n,):
         raise DimensionMismatch(f"x has shape {x.shape}, expected ({g.n},)")
-    ei, ej, w = g.edge_index_arrays()
-    return weighted_p_norm(x[ei] - x[ej], w, p)
+    return weighted_p_norm(x[g.ei] - x[g.ej], g.w, p)
 
 
 @dataclass(frozen=True)
@@ -232,7 +231,7 @@ def edge_projector(g, p=None):
     P = C @ np.linalg.pinv(C)
     if p is None:
         return P
-    w = g.weights()
+    w = g.w
     scale = w ** (1.0 / p)
     return (scale[:, None] * P) / scale[None, :]
 
@@ -248,7 +247,7 @@ def approximation_bound(g, p, restarts=5, max_iter=100, seed=0):
         raise InvalidP(f"bound factor needs p > 1, got {p}")
     E = edge_projector(g, p)
     C = incidence(g)
-    w = g.weights()
+    w = g.w
     probe = np.zeros(g.n)
     probe[0] = 1.0
     probe[-1] = -1.0

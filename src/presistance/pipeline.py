@@ -157,30 +157,26 @@ def knn_gaussian_graph(ds, params):
         raise InvalidParams(f"mu={params.mu} gives k=0 neighbors for n={n}")
     sq = ((ds.X[:, None, :] - ds.X[None, :, :]) ** 2).sum(axis=2)
     order = np.argsort(sq, axis=1, kind="stable")  # ties resolve to lower index
-    selected = set()
-    for i in range(n):
-        neigh = [v for v in order[i] if v != i][:k]
-        for j in neigh:
-            selected.add((i, int(j)))
-    pairs = set()
-    for i, j in selected:
-        a, b = max(i, j), min(i, j)
-        if params.symmetrization == "union":
-            pairs.add((a, b))
-        elif (j, i) in selected:
-            pairs.add((a, b))
-    if not pairs:
+    # drop self by value: a duplicated point can rank ahead of it
+    rows = np.arange(n)[:, None]
+    neighbors = order[order != rows].reshape(n, n - 1)[:, :k]
+    selected = np.zeros((n, n), dtype=bool)
+    selected[rows, neighbors] = True
+    if params.symmetrization == "union":
+        kept = selected | selected.T
+    else:
+        kept = selected & selected.T
+    a, b = np.nonzero(np.tril(kept, -1))  # row-major: sorted by (a, b), a > b
+    if not a.size:
         raise Disconnected([[v] for v in range(n)])
-    weights = {}
-    for a, b in sorted(pairs):
-        weights[(a, b)] = float(np.exp(-params.sigma * sq[a, b]))
-    if all(w < 1e-300 for w in weights.values()):
+    w = np.exp(-params.sigma * sq[a, b])
+    if np.all(w < 1e-300):
         raise DegenerateKernel(
             f"all kernel weights vanished (sigma={params.sigma}); rescale features"
         )
-    edges = [(a, b, max(w, 1e-300)) for (a, b), w in weights.items()]
     return build_graph(
-        n, edges, largest_component=params.on_disconnect == "largest_component"
+        n, np.column_stack((a, b, np.maximum(w, 1e-300))),
+        largest_component=params.on_disconnect == "largest_component",
     )
 
 

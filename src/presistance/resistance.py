@@ -133,8 +133,7 @@ def _edge_kernel(ei, ej, w, x, p, eps2=0.0, gradient=False, curvature=False):
 
 def p_energy(g, x, p):
     """Sum over edges of w |x_i - x_j|^p."""
-    ei, ej, w = g.edge_index_arrays()
-    return _edge_kernel(ei, ej, w, np.asarray(x, dtype=float), p)
+    return _edge_kernel(g.ei, g.ej, g.w, np.asarray(x, dtype=float), p)
 
 
 def p_energy_gradient(g, x, p):
@@ -143,8 +142,7 @@ def p_energy_gradient(g, x, p):
     Each edge contributes w p |d|^(p-2) d to its head and the negative to its
     tail; tied coordinates (d = 0) contribute exactly 0.
     """
-    ei, ej, w = g.edge_index_arrays()
-    return _edge_kernel(ei, ej, w, np.asarray(x, dtype=float), p, gradient=True)
+    return _edge_kernel(g.ei, g.ej, g.w, np.asarray(x, dtype=float), p, gradient=True)
 
 
 def _continuation_exponents(p):
@@ -286,7 +284,7 @@ def ssl_solve(g, p, i, j, cfg=None):
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
 
-    ei, ej, w = edges = g.edge_index_arrays()
+    edges = ei, ej, w = g.ei, g.ej, g.w
     free = np.setdiff1d(np.arange(g.n), [i, j])
     layout = _hessian_layout(ei, ej, free, g.n)
     x = _p2_start(edges, free, layout, i, g.n)
@@ -377,9 +375,8 @@ def approx_metric(pinv, g, query):
     robust even for very large p because only the q-th power is taken.
     """
     _check_pinv(pinv, g)
-    ei, ej, w = g.edge_index_arrays()
     y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
-    metric = _approx_sums(y[ei] - y[ej], w, conjugate_exponent(query.p))
+    metric = _approx_sums(y[g.ei] - y[g.ej], g.w, conjugate_exponent(query.p))
     return float(_approx_form(metric, query.p, "metric"))
 
 
@@ -458,10 +455,9 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
             np.fill_diagonal(D, 0.0)
         else:
             q = conjugate_exponent(p)
-            ei, ej, w = g.edge_index_arrays()
-            B = Lp[ei] - Lp[ej]  # row per edge: potentials of each column
+            B = Lp[g.ei] - Lp[g.ej]  # row per edge: potentials of each column
             for i in range(n - 1):
-                vals = _approx_sums(B[:, i : i + 1] - B[:, i + 1 :], w, q)
+                vals = _approx_sums(B[:, i : i + 1] - B[:, i + 1 :], g.w, q)
                 D[i, i + 1 :] = vals
                 D[i + 1 :, i] = vals
         D = _approx_form(D, p, form)
@@ -560,9 +556,8 @@ def mincut(g, s, t):
     """
     n = g.n
     cap = np.zeros((n, n))
-    for i, j, w in g.edges:
-        cap[i, j] += w
-        cap[j, i] += w
+    cap[g.ei, g.ej] = g.w
+    cap[g.ej, g.ei] = g.w
     flow = 0.0
     while True:
         parent = np.full(n, -1, dtype=int)
@@ -595,7 +590,6 @@ def shortest_path(g, s, t, weighted=True):
 
     Returns inf when t is unreachable from s.
     """
-    ei, ej, w = g.edge_index_arrays()
-    lengths = w if weighted else np.ones_like(w)
-    A = csr_matrix((lengths, (ei, ej)), shape=(g.n, g.n))
+    lengths = g.w if weighted else np.ones_like(g.w)
+    A = csr_matrix((lengths, (g.ei, g.ej)), shape=(g.n, g.n))
     return float(dijkstra(A, directed=False, indices=s)[t])

@@ -23,11 +23,20 @@ def random_connected(n, seed, edge_prob=0.4):
     return generate("gnp_connected", n=n, edge_prob=edge_prob, seed=seed)
 
 
+def neighbors(g):
+    """Adjacency lists as {vertex: [(other, weight), ...]}."""
+    adj = {u: [] for u in range(g.n)}
+    for i, j, w in g.edges:
+        adj[i].append((j, w))
+        adj[j].append((i, w))
+    return adj
+
+
 def tree_series_presistance(g, i, j, p):
     """Independent oracle: on a tree the unit flow is forced along the unique
     path, so the resistance composes by the p-series law
     (sum over path edges of w^(-1/(p-1)))^(p-1)."""
-    adj = g.neighbors()
+    adj = neighbors(g)
     prev = {i: None}
     queue = collections.deque([i])
     while queue:
@@ -62,7 +71,7 @@ def brute_force_mincut(g, s, t):
 
 
 def hop_distance_bfs(g, s, t):
-    adj = g.neighbors()
+    adj = neighbors(g)
     dist = {s: 0}
     queue = collections.deque([s])
     while queue:
@@ -74,3 +83,42 @@ def hop_distance_bfs(g, s, t):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return np.inf
+
+
+def reference_knn_edges(X, mu, sigma, symmetrization="union"):
+    """k-NN Gaussian edges built from Python sets of pairs: (a, b, w) with
+    a > b, sorted by (a, b); the set-based reference for the array build."""
+    n = len(X)
+    k = int(np.floor(mu * n))
+    sq = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
+    order = np.argsort(sq, axis=1, kind="stable")
+    selected = set()
+    for i in range(n):
+        for j in [v for v in order[i] if v != i][:k]:
+            selected.add((i, int(j)))
+    pairs = {
+        (max(i, j), min(i, j))
+        for i, j in selected
+        if symmetrization == "union" or (j, i) in selected
+    }
+    return [
+        (a, b, max(float(np.exp(-sigma * sq[a, b])), 1e-300)) for a, b in sorted(pairs)
+    ]
+
+
+def reference_components(n, edges):
+    """Union-find components, each sorted, listed by smallest vertex."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i, j, _ in edges:
+        parent[find(i)] = find(j)
+    comps = {}
+    for v in range(n):
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values())

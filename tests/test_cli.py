@@ -198,6 +198,23 @@ def test_config_file_defaults(tmp_path):
     assert dm.p == 3.0 and dm.n == 3
 
 
+def test_config_keys_must_be_options_of_the_subcommand(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "d.bin"
+    base = {"p": 3.0, "generate": "path:n=3"}
+    # a removed option, a typo, another subcommand's option, the parser's own
+    for extra in ({"max_iter": 5, "typo_key": 1}, {"restarts": 2},
+                  {"subcommand": "bench"}, {"func": "x"}):
+        cfg.write_text(json.dumps({**base, **extra}))
+        assert run(["--config", cfg, "distances", "--out", out]) == 2
+        assert "InvalidParams" in capsys.readouterr().err
+    for doc in ([1, 2], "p=3", 3):
+        cfg.write_text(json.dumps(doc))
+        assert run(["--config", cfg, "distances", "--out", out]) == 2
+        assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["distances", "--out", "x"])  # missing required --p

@@ -10,8 +10,9 @@ from presistance.errors import (
     SelfLoop,
 )
 from presistance.graph import read_edge_list, write_edge_list
+from presistance.pipeline import GraphBuildParams, knn_gaussian_graph, load_features
 
-from conftest import random_connected
+from conftest import neighbors, random_connected
 
 
 def test_build_single_edge():
@@ -47,6 +48,21 @@ def test_build_rejects_bad_edges():
         build_graph(2, [(1, 0, -3.0)])
     with pytest.raises(InvalidParams):
         build_graph(2, [(2, 0, 1.0)])
+
+
+def test_build_names_the_first_bad_edge():
+    with pytest.raises(DuplicateEdge, match=r"\(2,1\)"):
+        build_graph(4, [(1, 0, 1.0), (2, 1, 1.0), (3, 0, 1.0), (1, 2, 3.0), (0, 1, 1.0)])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonPositiveWeight, match=r"edge \(2,1\)"):
+            build_graph(3, [(1, 0, 1.0), (2, 1, bad)])
+    with pytest.raises(InvalidParams, match=r"\(0,7\)"):
+        build_graph(3, [(1, 0, 1.0), (0, 7, 1.0)])
+    with pytest.raises(InvalidParams):
+        build_graph(3, [(1, 0), (2, 1)])
+    with pytest.raises(Disconnected):
+        build_graph(3, [])
+    assert build_graph(1, []).m == 0
 
 
 def test_largest_component_escape_hatch():
@@ -97,7 +113,7 @@ def test_laplacian_two_constructions_agree():
         g = random_connected(int(np.random.default_rng(seed).integers(3, 20)), seed)
         L = laplacian(g)
         C = incidence(g)
-        W = np.diag(g.weights())
+        W = np.diag(g.w)
         assert np.abs(L - C.T @ W @ C).max() <= 1e-12
         assert np.abs(L @ np.ones(g.n)).max() <= 1e-12
 
@@ -126,7 +142,7 @@ def test_generate_example_g2_structure():
     g = generate("example_g2")
     assert g.n == 10 and g.m == 16
     # clique {0..4} plus 6-cycle through vertex 4
-    adj = g.neighbors()
+    adj = neighbors(g)
     for a in range(4):
         assert {b for b, _ in adj[a]} >= set(range(5)) - {a}
     assert sorted(b for b, _ in adj[7]) == [6, 8]
@@ -191,3 +207,65 @@ def test_edge_list_comments_and_errors(tmp_path):
     path.write_text("# only comments\n")
     with pytest.raises(InvalidParams):
         read_edge_list(path)
+
+
+def test_fingerprints_are_pinned(iris_csv, tmp_path):
+    # the hash input is the text of Python ints and floats; a numpy scalar's
+    # repr (np.float64(...)) would change every fingerprint and dist.bin header
+    tree = generate("random_tree", n=30, weight_range=(0.5, 2), seed=3)
+    path = tmp_path / "tree.edges"
+    write_edge_list(tree, path)
+    iris = load_features(iris_csv, has_labels=True)
+    graphs = {
+        "path": generate("path", n=5),
+        "gnp": generate("gnp_connected", n=40, edge_prob=0.2, seed=0),
+        "tree": tree,
+        "tree read back": read_edge_list(path),
+        "example_g3": generate("example_g3"),
+        "iris": knn_gaussian_graph(iris, GraphBuildParams(mu=1.0, sigma=0.01)),
+    }
+    tree_fp = "30:29:247ef5636365172559fc44887309b4626e8d28e4e4fee17e27026763d3b90d8c"
+    assert {name: g.fingerprint() for name, g in graphs.items()} == {
+        "path": "5:4:1baff40dcd3b9ed0b1c6974753a6a55355d464758a383bfd30be06e79e042194",
+        "gnp": "40:156:9e55299ee5a3443bd35883af413281bf57e954816926464b45490e763fedb2a5",
+        "tree": tree_fp,
+        "tree read back": tree_fp,
+        "example_g3": "6:5:d8c1d8c0278763b0c1f5c7bc9f812b24eeeb9549b00c3f79236af2bb304cb759",
+        "iris": "150:11175:"
+        "516dd8d47cc4f204e25f1d95d82ecc74234f58d936fe4362c68524d4606200be",
+    }
+
+
+def loop_laplacian(g):
+    A = np.zeros((g.n, g.n))
+    for i, j, w in g.edges:
+        A[i, j] = w
+        A[j, i] = w
+    return np.diag(A.sum(axis=1)) - A
+
+
+def loop_incidence(g):
+    C = np.zeros((g.m, g.n))
+    for row, (i, j, _) in enumerate(g.edges):
+        C[row, i] = 1.0
+        C[row, j] = -1.0
+    return C
+
+
+def test_laplacian_and_incidence_bytes_match_edge_loops(iris_csv):
+    iris = load_features(iris_csv, has_labels=True)
+    graphs = [knn_gaussian_graph(iris, GraphBuildParams(mu=1.0, sigma=s))
+              for s in (0.01, 1.0)]
+    graphs += [generate("gnp_connected", n=40, edge_prob=0.2, seed=s) for s in range(4)]
+    for g in graphs:
+        assert laplacian(g).tobytes() == loop_laplacian(g).tobytes()
+        assert incidence(g).tobytes() == loop_incidence(g).tobytes()
+
+
+def test_graph_arrays_are_read_only():
+    g = generate("gnp_connected", n=12, edge_prob=0.3, seed=1)
+    for arr in (g.ei, g.ej, g.w):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert g.ei.dtype == g.ej.dtype == np.int64 and g.w.dtype == np.float64
+    assert bool(np.all(g.ei > g.ej))

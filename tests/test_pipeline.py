@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from presistance.errors import (
     RaggedRows,
 )
 from presistance.pipeline import ratio_rows_csv
+
+from conftest import reference_components, reference_knn_edges
+
+PAPER_MU = (0.04, 0.06, 0.08, 0.1, 1.0)
+PAPER_SIGMA = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 
 
 def write_csv(path, text):
@@ -109,6 +116,52 @@ def test_knn_union_min_degree():
         degrees[i] += 1
         degrees[j] += 1
     assert degrees.min() >= 1
+
+
+def assert_knn_matches_reference(ds, mu, sigma, symmetrization):
+    """The array build gives the set-based reference's (ei, ej, w) bytes,
+    and the same components when the graph is disconnected."""
+    edges = reference_knn_edges(ds.X, mu, sigma, symmetrization)
+    comps = reference_components(ds.n, edges)
+    params = GraphBuildParams(mu=mu, sigma=sigma, symmetrization=symmetrization)
+    keep = range(ds.n)
+    if len(comps) > 1:
+        with pytest.raises(Disconnected) as exc:
+            knn_gaussian_graph(ds, params)
+        assert exc.value.components == comps
+        keep = max(comps, key=len)  # the first largest holds the smallest vertex
+        relabel = {v: k for k, v in enumerate(keep)}
+        edges = [(relabel[i], relabel[j], w) for i, j, w in edges if i in relabel]
+        params = replace(params, on_disconnect="largest_component")
+    g = knn_gaussian_graph(ds, params)
+    assert g.n == len(keep)
+    assert g.kept == (None if len(comps) == 1 else tuple(keep))
+    ei, ej, w = zip(*edges)
+    assert g.ei.tobytes() == np.array(ei, dtype=np.int64).tobytes()
+    assert g.ej.tobytes() == np.array(ej, dtype=np.int64).tobytes()
+    assert g.w.tobytes() == np.array(w, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("symmetrization", ["union", "mutual"])
+def test_knn_matches_set_based_reference_on_iris_grid(iris_csv, symmetrization):
+    ds = load_features(iris_csv, has_labels=True)
+    for mu in PAPER_MU:
+        for sigma in PAPER_SIGMA:
+            assert_knn_matches_reference(ds, mu, sigma, symmetrization)
+
+
+def test_knn_matches_set_based_reference_with_duplicate_rows():
+    # duplicated points tie at distance 0 with self, so self is not always
+    # the first entry of its sorted row
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, 3))
+    X[10:20] = X[:10]
+    X[35] = X[39] = X[2]
+    ds = FeatureDataset(X=X, labels=None)
+    for mu in (0.05, 0.1, 0.25, 1.0):
+        for sigma in (0.1, 1.0):
+            for symmetrization in ("union", "mutual"):
+                assert_knn_matches_reference(ds, mu, sigma, symmetrization)
 
 
 def test_knn_param_validation():

@@ -147,7 +147,7 @@ def test_hessian_vector_product_matches_gradient_differences():
     h = 1e-6
     for seed in range(6):
         g = random_connected(8, 470 + seed)
-        ei, ej, w = g.edge_index_arrays()
+        ei, ej, w = g.ei, g.ej, g.w
         free = np.arange(1, 7)
         layout = _hessian_layout(ei, ej, free, g.n)
         x = rng.permutation(8) / 7.0
@@ -249,7 +249,7 @@ def test_approx_metric_forms():
     q3 = PairQuery(0, 2, 3.0)
     assert approx_metric(pinv, g, q3) == pytest.approx(2.0)
     # identical endpoints give a zero metric at the kernel level
-    ei, ej, w = g.edge_index_arrays()
+    ei, ej, w = g.ei, g.ej, g.w
     y = pinv.matrix[:, 1] - pinv.matrix[:, 1]
     assert _approx_sums(y[ei] - y[ej], w, 1.5) == 0.0
 
@@ -280,7 +280,7 @@ def test_distance_matrix_p2_matches_classic():
     # the p = 2 closed form against the energy of the unit-current
     # potentials, sum over edges of w (y_a - y_b)^2, with y from numpy's pinv
     g = random_connected(10, 12)
-    ei, ej, w = g.edge_index_arrays()
+    ei, ej, w = g.ei, g.ej, g.w
     L = np.zeros((g.n, g.n))
     np.add.at(L, (ei, ej), -w)
     np.add.at(L, (ej, ei), -w)
@@ -441,7 +441,7 @@ def test_edge_kernel_smoothed_gradient_matches_its_energy():
     h = 1e-6
     for seed in range(6):
         g = random_connected(8, 450 + seed)
-        ei, ej, w = g.edge_index_arrays()
+        ei, ej, w = g.ei, g.ej, g.w
         x = rng.permutation(8) / 7.0
         x[[1, 4, 6]] = x[0]
         for p in (1.1, 1.5, 3.0, 10.0):
@@ -533,7 +533,7 @@ def test_approx_paths_negated_under_fault():
 
 def test_shortest_path_unreachable_is_inf():
     # build_graph refuses disconnected input; the Graph type itself does not
-    g = Graph(4, ((1, 0, 1.0), (3, 2, 2.0)))
+    g = Graph(4, np.array([1, 3]), np.array([0, 2]), np.array([1.0, 2.0]))
     assert shortest_path(g, 0, 3) == np.inf
     assert shortest_path(g, 0, 3, weighted=False) == np.inf
     assert shortest_path(g, 2, 3) == 2.0
@@ -591,7 +591,7 @@ def _harmonic_extension(g, i, j):
 
 
 def _solver_start(g, i, j):
-    ei, ej, w = edges = g.edge_index_arrays()
+    edges = ei, ej, w = g.ei, g.ej, g.w
     free = np.setdiff1d(np.arange(g.n), [i, j])
     return _p2_start(edges, free, _hessian_layout(ei, ej, free, g.n), i, g.n)
 
