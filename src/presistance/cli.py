@@ -140,7 +140,7 @@ def cmd_distances(args):
     g = _load_graph(args)
     cfg = SolverConfig(grad_tol=args.grad_tol)
     t0 = time.perf_counter()
-    pinv = laplacian_pinv(g) if args.mode == "approx" else None
+    pinv = laplacian_pinv(g)
     t_pinv = time.perf_counter() - t0
     t0 = time.perf_counter()
     dm = distance_matrix(

@@ -8,7 +8,7 @@ because the Laplacian pseudoinverse every later layer reads is dense.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -364,8 +364,10 @@ def generate(family, seed=None, **params):
 
 
 def format_edge_list(g):
-    """The canonical `i j w` edge-list text, headed by an `# n= m=` comment."""
-    return f"# n={g.n} m={g.m}\n" + _format_edges("{} {} {!r}\n", g)
+    """The canonical `i j w` edge-list text, headed by an `# n= m=` comment
+    and, for a restricted graph, a `# kept:` line of the original ids."""
+    kept = "" if g.kept is None else "# kept: " + " ".join(map(str, g.kept)) + "\n"
+    return f"# n={g.n} m={g.m}\n" + kept + _format_edges("{} {} {!r}\n", g)
 
 
 def write_edge_list(g, path):
@@ -374,12 +376,19 @@ def write_edge_list(g, path):
         f.write(format_edge_list(g))
 
 
-def read_edge_list(path, largest_component=False):
-    """Read the `i j w` text format (whitespace separated, '#' comments)."""
+def read_edge_list(path):
+    """Read the `i j w` text format (whitespace separated, '#' comments);
+    a `# kept:` comment line restores `Graph.kept`."""
     edges = []
     n = 0
+    kept = None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
+            if line.startswith("# kept:"):
+                try:
+                    kept = tuple(int(v) for v in line[7:].split())
+                except ValueError as exc:
+                    raise InvalidParams(f"{path}:{lineno}: {exc}") from exc
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -394,4 +403,7 @@ def read_edge_list(path, largest_component=False):
             n = max(n, i + 1, j + 1)
     if not edges:
         raise InvalidParams(f"{path}: no edges found")
-    return build_graph(n, edges, largest_component=largest_component)
+    g = build_graph(n, edges)
+    if kept is not None and len(kept) != g.n:
+        raise InvalidParams(f"{path}: {len(kept)} kept ids for n={g.n}")
+    return g if kept is None else replace(g, kept=kept)

@@ -18,6 +18,8 @@ from .errors import (
 from .graph import incidence, laplacian
 
 P_MIN = 1.0 + 1e-9
+# steps of each power iteration in `matrix_op_pnorm`
+_POWER_ITERATIONS = 100
 
 
 def conjugate_exponent(p):
@@ -132,7 +134,7 @@ def _signed_power(v, theta):
     return np.sign(v) * np.abs(v) ** theta
 
 
-def matrix_op_pnorm(M, p, restarts=5, max_iter=100, seed=0, extra_starts=()):
+def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
     """Estimate the operator p-norm of a dense matrix.
 
     For p in {1, inf} the exact max absolute column/row sum is returned.
@@ -180,7 +182,7 @@ def matrix_op_pnorm(M, p, restarts=5, max_iter=100, seed=0, extra_starts=()):
         x = x / nx
         gamma = 0.0
         with np.errstate(over="ignore", under="ignore"):
-            for _ in range(max_iter):
+            for _ in range(_POWER_ITERATIONS):
                 total_iters += 1
                 y = M @ x
                 ny = np.linalg.norm(y, ord=p)
@@ -227,16 +229,18 @@ class ApproximationBound:
 
 def edge_projector(g, p=None):
     """C C+ (an orthogonal projector); optionally weighted by W^(1/p)."""
-    C = incidence(g)
+    return _projector(incidence(g), g.w, p)
+
+
+def _projector(C, w, p):
     P = C @ np.linalg.pinv(C)
     if p is None:
         return P
-    w = g.w
     scale = w ** (1.0 / p)
     return (scale[:, None] * P) / scale[None, :]
 
 
-def approximation_bound(g, p, restarts=5, max_iter=100, seed=0):
+def approximation_bound(g, p, restarts=5, seed=0):
     """Estimate the approximation bound factor for a graph at exponent p.
 
     The estimate is a lower bound on the true factor but at least 1 up to
@@ -245,16 +249,12 @@ def approximation_bound(g, p, restarts=5, max_iter=100, seed=0):
     """
     if p <= P_MIN:
         raise InvalidP(f"bound factor needs p > 1, got {p}")
-    E = edge_projector(g, p)
     C = incidence(g)
-    w = g.w
-    probe = np.zeros(g.n)
-    probe[0] = 1.0
-    probe[-1] = -1.0
-    image_start = (w ** (1.0 / p)) * (C @ probe)
-    est = matrix_op_pnorm(
-        E, p, restarts=restarts, max_iter=max_iter, seed=seed, extra_starts=(image_start,)
-    )
+    E = _projector(C, g.w, p)
+    # the drops C (e_0 - e_{n-1}), scaled: in the image of E
+    image_start = (g.w ** (1.0 / p)) * (C[:, 0] - C[:, -1])
+    est = matrix_op_pnorm(E, p, restarts=restarts, seed=seed,
+                          extra_starts=(image_start,))
     ceiling = max(np.abs(E).sum(axis=0).max(), np.abs(E).sum(axis=1).max())
     return ApproximationBound(
         fingerprint=g.fingerprint(),

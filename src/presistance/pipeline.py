@@ -384,7 +384,7 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0, cfg=None):
         hard_ceiling = min(bound.one_norm_ceiling, bound.worst_case) ** q
         for i, j in pairs:
             approx = approx_metric(pinv, g, PairQuery(i=i, j=j, p=p))
-            report = ssl_solve(g, p, i, j, cfg)
+            report = ssl_solve(g, p, i, j, cfg, pinv=pinv)
             exact = (1.0 / report.energy) ** (1.0 / (p - 1.0))
             rows.append(
                 {

@@ -4,10 +4,10 @@ The exact route pins a unit potential drop between a vertex pair and
 minimizes the graph p-energy over the free coordinates with damped Newton
 steps: each step solves the Laplacian weighted by the edge curvatures,
 restricted to the free vertices, and Armijo backtracking on the smoothed
-energy damps it. The start is the p = 2 (harmonic) minimizer: one solve
-of that same Hessian at p = 2. The approximate route evaluates a
-conjugate-exponent seminorm of pseudoinverse columns, reusing one Laplacian
-pseudoinverse for every pair. Each route has one kernel: `_edge_kernel` for
+energy damps it. It starts from the p = 2 (harmonic) potentials
+L+ (e_i - e_j), the pseudoinverse columns whose conjugate-exponent seminorm
+the approximate route evaluates: one Laplacian pseudoinverse per graph
+serves every pair of both routes. Each route has one kernel: `_edge_kernel` for
 the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
 for the approximate metric of one pair or of a row of pairs. Combinatorial
 oracles for the two limit regimes (minimum cut and hop distance) live here
@@ -200,25 +200,6 @@ def _hessian(curv, layout):
     return np.bincount(flat, curv[source] * sign, minlength=k * k).reshape(k, k)
 
 
-def _p2_start(edges, free, layout, i, n):
-    """The p = 2 (harmonic) potentials with x_i = 1 and 0 at the other
-    vertex missing from `free`: one Newton step of the quadratic energy from
-    the unit start e_i, whose Hessian is the Laplacian with edge curvatures
-    2 w. The unit start stays where that solve fails.
-    """
-    ei, ej, w = edges
-    x = np.zeros(n)
-    x[i] = 1.0
-    grad = _edge_kernel(ei, ej, w, x, 2.0, gradient=True)[free]
-    try:
-        step = np.linalg.solve(_hessian(2.0 * w, layout), -grad)
-    except np.linalg.LinAlgError:
-        return x
-    if np.all(np.isfinite(step)):
-        x[free] = step
-    return x
-
-
 def _newton(x, edges, free, layout, p, eps2, grad_tol, max_steps):
     # damped Newton on the smoothed energy: the step solves the floored
     # curvature Laplacian against the free gradient, and Armijo backtracking
@@ -269,25 +250,29 @@ def _newton(x, edges, free, layout, p, eps2, grad_tol, max_steps):
     return x, grad_norm, steps
 
 
-def ssl_solve(g, p, i, j, cfg=None):
+def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     """Minimize the p-energy subject to x_i = 1, x_j = 0.
 
     Pinning the two labels eliminates the unit-drop constraint exactly (the
     energy is translation invariant), leaving an unconstrained convex problem
-    over the n - 2 free coordinates, solved by damped Newton steps. Returns
-    the full `SolverReport`; the reciprocal of its energy is the
-    p-resistance of the pair.
+    over the n - 2 free coordinates, solved by damped Newton steps from the
+    p = 2 minimizer L+ (e_i - e_j), scaled to the pins. `pinv` is the graph's
+    `LaplacianPinv`, computed when left out. Returns the full
+    `SolverReport`; the reciprocal of its energy is the p-resistance.
     """
     cfg = cfg or SolverConfig()
     if p <= P_MIN:
         raise InvalidP(f"p must exceed 1, got {p}")
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
+    pinv = _checked_pinv(pinv, g)
 
     edges = ei, ej, w = g.ei, g.ej, g.w
     free = np.setdiff1d(np.arange(g.n), [i, j])
     layout = _hessian_layout(ei, ej, free, g.n)
-    x = _p2_start(edges, free, layout, i, g.n)
+    y = pinv.matrix[:, i] - pinv.matrix[:, j]
+    x = (y - y[j]) / (y[i] - y[j])
+    x[i], x[j] = 1.0, 0.0
 
     # Newton works on the smoothed energy sum w (d^2 + eps^2)^(p/2): same
     # minimizer up to O(eps), but twice differentiable at zero drops, where
@@ -326,12 +311,16 @@ def exact_presistance(g, query, cfg=None):
     return 1.0 / report.energy, report
 
 
-def _check_pinv(pinv, g):
+def _checked_pinv(pinv, g):
+    """`pinv` after checking it belongs to `g`; computed when None."""
+    if pinv is None:
+        return laplacian_pinv(g)
     if pinv.fingerprint != g.fingerprint():
         raise FingerprintMismatch(
             "pseudoinverse was computed for a different graph "
             f"({pinv.fingerprint} != {g.fingerprint()})"
         )
+    return pinv
 
 
 def _approx_sums(drops, w, q):
@@ -374,7 +363,7 @@ def approx_metric(pinv, g, query):
     This is the r^(1/(p-1)) form used for clustering; it stays numerically
     robust even for very large p because only the q-th power is taken.
     """
-    _check_pinv(pinv, g)
+    pinv = _checked_pinv(pinv, g)
     y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
     metric = _approx_sums(y[g.ei] - y[g.ej], g.w, conjugate_exponent(query.p))
     return float(_approx_form(metric, query.p, "metric"))
@@ -409,11 +398,11 @@ class DistanceMatrix:
 
 
 def _exact_row(args):
-    g, p, form, cfg, i = args
+    g, p, form, cfg, pinv, i = args
     vals = []
     warnings = []
     for j in range(i + 1, g.n):
-        report = ssl_solve(g, p, i, j, cfg)
+        report = ssl_solve(g, p, i, j, cfg, pinv=pinv)
         r = 1.0 / report.energy
         if not report.converged:
             warnings.append((i, j, report.iterations, report.final_grad_norm))
@@ -425,12 +414,12 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
                     workers=1):
     """All-pairs p-resistance (or metric) matrix.
 
-    In approx mode the pseudoinverse is computed once (or passed in) and
-    reused across every pair; at p = 2 the matrix comes from its closed
-    form. In exact mode one solver run per pair is
-    performed; pairs that fail to converge are recorded in `warnings` and
-    the best-so-far value is kept. Exact-mode rows may be solved by a pool
-    of `workers` processes; the result is identical for any worker count.
+    Both modes compute the pseudoinverse once (or check the one passed)
+    and reuse it for every pair: approx mode evaluates each pair on it, at
+    p = 2 in closed form; exact mode starts each pair's solver run from it,
+    records pairs that fail to converge in `warnings` and keeps their
+    best-so-far values. Exact-mode rows may be solved by a pool of `workers`
+    processes; the result is identical for any worker count.
     """
     if p <= P_MIN:
         raise InvalidP(f"p must exceed 1, got {p}")
@@ -441,10 +430,8 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     n = g.n
     D = np.zeros((n, n))
     warnings = []
+    pinv = _checked_pinv(pinv, g)
     if mode == "approx":
-        if pinv is None:
-            pinv = laplacian_pinv(g)
-        _check_pinv(pinv, g)
         Lp = pinv.matrix
         if p == 2.0:
             # q = 2: the edge sum collapses to the classic effective
@@ -464,7 +451,7 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
         config_fp = f"pinv={pinv.fingerprint}"
     else:
         cfg = cfg or SolverConfig()
-        tasks = [(g, p, form, cfg, i) for i in range(n - 1)]
+        tasks = [(g, p, form, cfg, pinv, i) for i in range(n - 1)]
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 

@@ -311,11 +311,12 @@ def ssl_ordering_agreement(g, p, cfg=None, threshold=1e-6):
     """
     cfg = cfg or SolverConfig(grad_tol=1e-11)
     n = g.n
+    pinv = laplacian_pinv(g)
     r = np.zeros((n, n))
     pots = {}
     for i in range(n):
         for j in range(i + 1, n):
-            rep = ssl_solve(g, p, i, j, cfg)
+            rep = ssl_solve(g, p, i, j, cfg, pinv=pinv)
             r[i, j] = r[j, i] = 1.0 / rep.energy
             pots[(i, j)] = rep.potentials
     agree = 0

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from presistance import load_distance_matrix
+from presistance import (
+    GraphBuildParams,
+    knn_gaussian_graph,
+    load_distance_matrix,
+    load_features,
+)
 from presistance.cli import main
+from presistance.graph import read_edge_list, write_edge_list
 
 
 def run(argv):
@@ -33,6 +39,32 @@ def test_build_graph_and_reproducible(tmp_path, blob_csv):
     assert run(["build-graph", "--features", blob_csv, "--labels", "last",
                 "--mu", "0.5", "--sigma", "0.5", "--out", out]) == 0
     assert out.read_bytes() == first
+
+
+def test_build_graph_records_kept_rows(tmp_path):
+    # two far blobs, 8 rows then 12: the largest component is rows 8..19,
+    # and the written graph names them
+    rng = np.random.default_rng(3)
+    rows = [f"{x!r},{y!r}" for cx, size in ((10.0, 8), (0.0, 12))
+            for x, y in rng.normal(cx, 0.3, size=(size, 2)).tolist()]
+    features = tmp_path / "two_blobs.csv"
+    features.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "g.edges"
+    assert run(["build-graph", "--features", features, "--mu", "0.2",
+                "--sigma", "0.5", "--on-disconnect", "largest_component",
+                "--out", out]) == 0
+    g = read_edge_list(out)
+    assert g.n == 12 and g.kept == tuple(range(8, 20))
+
+
+def test_distances_exact_on_singular_graph_exit_2(tmp_path, iris_csv, capsys):
+    ds = load_features(iris_csv, has_labels=True)
+    path = tmp_path / "g.edges"
+    write_edge_list(knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=100.0)),
+                    path)
+    assert run(["distances", "--graph", path, "--p", "3", "--mode", "exact",
+                "--workers", "1", "--out", tmp_path / "d.bin"]) == 2
+    assert "SingularShift" in capsys.readouterr().err
 
 
 def test_build_graph_missing_file_exit_2(tmp_path):

@@ -194,6 +194,26 @@ def test_edge_list_round_trip(tmp_path):
     write_edge_list(g, path)
     g2 = read_edge_list(path)
     assert g2.edges == g.edges and g2.n == g.n
+    # a connected graph writes no `# kept:` line and reads back none
+    assert "kept" not in path.read_text() and g2.kept is None
+
+
+def test_edge_list_restores_kept_vertices(tmp_path):
+    g = build_graph(6, [(1, 0, 1.0), (4, 3, 1.0), (5, 4, 2.0), (5, 3, 1.0)],
+                    largest_component=True)
+    assert g.kept == (3, 4, 5)
+    path = tmp_path / "g.edges"
+    write_edge_list(g, path)
+    assert "# kept: 3 4 5\n" in path.read_text()
+    g2 = read_edge_list(path)
+    assert g2.kept == g.kept and g2.edges == g.edges
+    assert g2.fingerprint() == g.fingerprint()
+    path.write_text("# kept: 3 4\n1 0 1.0\n2 1 2.0\n")
+    with pytest.raises(InvalidParams):
+        read_edge_list(path)
+    path.write_text("# kept: 3 x 5\n1 0 1.0\n2 1 2.0\n")
+    with pytest.raises(InvalidParams):
+        read_edge_list(path)
 
 
 def test_edge_list_comments_and_errors(tmp_path):

@@ -25,13 +25,18 @@ from presistance import (
     shortest_path,
     ssl_solve,
 )
-from presistance.errors import DimensionMismatch, FingerprintMismatch, InvalidP
+from presistance import resistance
+from presistance.errors import (
+    DimensionMismatch,
+    FingerprintMismatch,
+    InvalidP,
+    SingularShift,
+)
 from presistance.resistance import (
     _approx_sums,
     _edge_kernel,
     _hessian,
     _hessian_layout,
-    _p2_start,
 )
 from presistance.verify import clear_faults, inject_fault
 
@@ -590,32 +595,70 @@ def _harmonic_extension(g, i, j):
     return (y - y[j]) / (y[i] - y[j])
 
 
-def _solver_start(g, i, j):
-    edges = ei, ej, w = g.ei, g.ej, g.w
-    free = np.setdiff1d(np.arange(g.n), [i, j])
-    return _p2_start(edges, free, _hessian_layout(ei, ej, free, g.n), i, g.n)
+def _solver_start(monkeypatch, g, i, j):
+    # with every Newton stage replaced by one that takes no step, the
+    # report carries the potentials the solver starts from
+    monkeypatch.setattr(resistance, "_newton", lambda x, *args: (x, 0.0, 0))
+    return ssl_solve(g, 3.0, i, j, pinv=laplacian_pinv(g)).potentials
 
 
-def test_p2_start_is_harmonic_extension_random_graphs():
+def test_p2_start_is_harmonic_extension_random_graphs(monkeypatch):
     rng = np.random.default_rng(23)
     for seed in range(6):
         g = random_connected(int(rng.integers(3, 30)), 1000 + seed,
                              edge_prob=float(rng.uniform(0.1, 0.6)))
         for _ in range(3):
             i, j = map(int, rng.choice(g.n, size=2, replace=False))
-            x = _solver_start(g, i, j)
+            x = _solver_start(monkeypatch, g, i, j)
             assert x[i] == 1.0 and x[j] == 0.0
             assert np.abs(x - _harmonic_extension(g, i, j)).max() <= 1e-12
 
 
-def test_p2_start_is_harmonic_extension_iris(iris_csv):
+def test_p2_start_is_harmonic_extension_iris(iris_csv, monkeypatch):
     ds = load_features(iris_csv, has_labels=True, label_column="last")
     g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1.0))
     rng = np.random.default_rng(5)
     for i, j in [(0, 149)] + [tuple(map(int, rng.choice(g.n, size=2, replace=False)))
                               for _ in range(4)]:
-        x = _solver_start(g, i, j)
+        x = _solver_start(monkeypatch, g, i, j)
+        assert x[i] == 1.0 and x[j] == 0.0
         assert np.abs(x - _harmonic_extension(g, i, j)).max() <= 1e-12
+
+
+def test_exact_route_rejects_mismatched_pinv():
+    g = generate("path", n=4)
+    other = laplacian_pinv(generate("cycle", n=4))
+    with pytest.raises(FingerprintMismatch):
+        ssl_solve(g, 3.0, 0, 3, pinv=other)
+    with pytest.raises(FingerprintMismatch):
+        distance_matrix(g, 3.0, mode="exact", pinv=other)
+
+
+def test_exact_route_fails_a_singular_graph(iris_csv):
+    # at sigma = 100 the iris weights span hundreds of orders of magnitude
+    # and neither pseudoinverse route holds; the exact route fails as the
+    # approximate one does instead of returning a value near 1e56
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=100.0))
+    with pytest.raises(SingularShift):
+        ssl_solve(g, 3.0, 0, 149)
+
+
+def test_exact_distance_matrix_computes_one_pinv(monkeypatch):
+    g = random_connected(8, 31)
+    pinv = laplacian_pinv(g)
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return laplacian_pinv(graph)
+
+    monkeypatch.setattr(resistance, "laplacian_pinv", counted)
+    computed = distance_matrix(g, 3.0, mode="exact", cfg=TIGHT, workers=1)
+    assert len(calls) == 1
+    passed = distance_matrix(g, 3.0, mode="exact", cfg=TIGHT, pinv=pinv, workers=1)
+    assert len(calls) == 1
+    assert np.array_equal(computed.matrix, passed.matrix)
 
 
 def test_solver_never_beats_its_start_energy():
