@@ -176,6 +176,10 @@ def cmd_cluster(args):
     extra = {"config": json.loads(_run_config(args)), "method": args.method}
     if args.labels:
         truth = [line.strip() for line in open(args.labels) if line.strip()]
+        if dm.kept is not None and len(truth) != dm.n and len(truth) > max(dm.kept):
+            # a label file of the input rows, for a matrix of the graph
+            # restricted to its largest component: take the kept rows
+            truth = [truth[v] for v in dm.kept]
         if len(truth) != dm.n:
             raise errors.LengthMismatch(
                 f"label file has {len(truth)} rows, matrix has {dm.n}"

@@ -28,7 +28,7 @@ from .resistance import (
     PairQuery,
     SolverConfig,
     approx_metric,
-    distance_matrix,
+    distance_matrices,
     ssl_solve,
 )
 
@@ -306,6 +306,13 @@ def bench_grid(
                                 )
                             )
                 continue
+            # each distinct p once, all from one kernel pass: kmed_p2 runs
+            # at p = 2 (recorded as p = 0), as does kmed_approx when its
+            # grid holds 2
+            ps = sorted({p if p > 0 else 2.0 for method in methods
+                         if method != "sc2"
+                         for p in _method_p_values(method, p_grid)})
+            matrices = dict(zip(ps, distance_matrices(g, ps, pinv)))
             for method in methods:
                 for p in _method_p_values(method, p_grid):
                     if method == "sc2":
@@ -321,13 +328,9 @@ def bench_grid(
                                 )
                             )
                         continue
-                    p_eff = p if p > 0 else 2.0
-                    D = distance_matrix(g, p_eff, mode="approx", form="metric",
-                                        pinv=pinv)
+                    D = matrices[p if p > 0 else 2.0].matrix
                     for rep in range(repetitions):
-                        err, wall = _run_cell(
-                            D.matrix, k, ds.labels, method, seed + rep
-                        )
+                        err, wall = _run_cell(D, k, ds.labels, method, seed + rep)
                         records.append(
                             BenchRecord(
                                 mu=mu, sigma=sigma, p=p, method=method,

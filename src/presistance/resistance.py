@@ -9,7 +9,12 @@ L+ (e_i - e_j), the pseudoinverse columns whose conjugate-exponent seminorm
 the approximate route evaluates: one Laplacian pseudoinverse per graph
 serves every pair of both routes. Each route has one kernel: `_edge_kernel` for
 the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
-for the approximate metric of one pair or of a row of pairs. Combinatorial
+for the approximate metric of one pair or of a block of pairs at every p
+asked for. `distance_matrices` builds the approximate all-pairs matrices of
+one graph for a whole p grid: it gathers the edge drops of each L+ column
+once (a vertex-by-edges array), walks the pairs of each row in cache-sized
+blocks, and takes one log per drop and one exp per drop and p;
+`distance_matrix` in approximate mode is its one-p call. Combinatorial
 oracles for the two limit regimes (minimum cut and hop distance) live here
 as well.
 """
@@ -323,26 +328,42 @@ def _checked_pinv(pinv, g):
     return pinv
 
 
-def _approx_sums(drops, w, q):
-    """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
-    are the columns of `drops` (the vector `drops` for one pair): the q-th
-    power sum over edges of w |drop|^q, factored by each column's peak so
-    that huge q stays in range.
+# drops per block of pairs in the all-pairs kernel: the block and its one
+# exp temporary stay in cache while every p of the grid passes over them
+_BLOCK_DROPS = 1 << 16
 
-    Works in place and overwrites `drops`: the all-pairs loop passes a
-    fresh edges-by-pairs block per row, and further temporaries of that
-    size more than double its time.
+
+def _approx_sums(drops, w, qs):
+    """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
+    are the rows of `drops`, at each q of `qs`: entry [k, r] is the q-th
+    power sum over edges of w |drop|^q of row r at q = qs[k], factored by
+    the row's peak so that huge q stays in range and the result does not
+    depend on the scale of the drops.
+
+    The peak-scaled drops are logged once and each q costs one exp and one
+    matrix-vector product, cheaper than one `**` per q. A zero drop logs to
+    -inf and contributes exactly 0, so a pair of identical endpoints gets
+    exactly 0. Works in place and overwrites `drops`.
     """
-    diff = np.abs(drops, out=drops)
-    peak = diff.max(axis=0)
-    peak = np.where(peak == 0.0, 1.0, peak)
-    diff /= peak
-    diff **= q
-    # one pair sums in einsum's own loop: the BLAS dot product it would
-    # otherwise call is threaded above 10000 edges and stalls for
-    # milliseconds in some processes
-    total = np.einsum("e,e->", w, diff) if diff.ndim == 1 else w @ diff
-    return peak**q * total
+    scaled = np.abs(drops, out=drops)
+    peak = scaled.max(axis=1)
+    peak[peak == 0.0] = 1.0
+    scaled /= peak[:, None]
+    with np.errstate(divide="ignore"):
+        logd = np.log(scaled, out=scaled)
+    sums = np.empty((len(qs), drops.shape[0]))
+    power = np.empty_like(logd)
+    for k, q in enumerate(qs):
+        np.exp(np.multiply(logd, q, out=power), out=power)
+        # one pair sums in einsum's own loop: the BLAS dot product it would
+        # otherwise call is threaded above 10000 edges and stalls for
+        # milliseconds in some processes
+        if drops.shape[0] == 1:
+            total = np.einsum("e,e->", w, power[0])
+        else:
+            total = power @ w
+        sums[k] = peak**q * total
+    return sums
 
 
 def _approx_form(metric, p, form):
@@ -365,7 +386,8 @@ def approx_metric(pinv, g, query):
     """
     pinv = _checked_pinv(pinv, g)
     y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
-    metric = _approx_sums(y[g.ei] - y[g.ej], g.w, conjugate_exponent(query.p))
+    drops = (y[g.ei] - y[g.ej])[None, :]
+    metric = _approx_sums(drops, g.w, (conjugate_exponent(query.p),))[0, 0]
     return float(_approx_form(metric, query.p, "metric"))
 
 
@@ -380,7 +402,9 @@ class DistanceMatrix:
 
     `form` is 'resistance' for raw values or 'metric' for the
     1/(p-1)-power metric form; `mode` records whether values came from the
-    pseudoinverse approximation or the exact solver.
+    pseudoinverse approximation or the exact solver. `kept` carries the
+    graph's `Graph.kept`: for a graph restricted to its largest component,
+    the original ids of the matrix rows.
     """
 
     matrix: np.ndarray
@@ -391,6 +415,7 @@ class DistanceMatrix:
     config_fingerprint: str
     warnings: tuple = field(default=())
     meta: str = field(default="", compare=False)
+    kept: tuple = None
 
     @property
     def n(self):
@@ -410,29 +435,47 @@ def _exact_row(args):
     return i, vals, warnings
 
 
-def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
-                    workers=1):
-    """All-pairs p-resistance (or metric) matrix.
-
-    Both modes compute the pseudoinverse once (or check the one passed)
-    and reuse it for every pair: approx mode evaluates each pair on it, at
-    p = 2 in closed form; exact mode starts each pair's solver run from it,
-    records pairs that fail to converge in `warnings` and keeps their
-    best-so-far values. Exact-mode rows may be solved by a pool of `workers`
-    processes; the result is identical for any worker count.
-    """
-    if p <= P_MIN:
-        raise InvalidP(f"p must exceed 1, got {p}")
-    if mode not in ("approx", "exact"):
-        raise InvalidP(f"unknown mode {mode!r}")
+def _check_form(form):
     if form not in ("resistance", "metric"):
         raise InvalidP(f"unknown form {form!r}")
-    n = g.n
-    D = np.zeros((n, n))
-    warnings = []
+
+
+def distance_matrices(g, ps, pinv=None, form="metric"):
+    """Approximate all-pairs matrices of `g`, one `DistanceMatrix` per p of
+    `ps`, in that order, all from one pseudoinverse (computed when `pinv`
+    is None, else checked).
+
+    At p = 2 the matrix takes its closed form. The other p share one pass
+    over the pairs: the edge drops of every L+ column are gathered once,
+    the pairs of each row are taken in blocks of about `_BLOCK_DROPS`
+    drops, and `_approx_sums` evaluates each block at every p.
+    """
+    ps = tuple(float(p) for p in ps)
+    for p in ps:
+        if p <= P_MIN:
+            raise InvalidP(f"p must exceed 1, got {p}")
+    _check_form(form)
     pinv = _checked_pinv(pinv, g)
-    if mode == "approx":
-        Lp = pinv.matrix
+    Lp = pinv.matrix
+    n = g.n
+    qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
+    upper = np.zeros((len(qs), n, n))
+    if qs and g.m:
+        # row v: the drop over each edge of L+'s column v. The ej gather is
+        # subtracted in place, so only one more array of this size is made
+        drops = np.take(Lp.T, g.ei, axis=1)
+        drops -= np.take(Lp.T, g.ej, axis=1)
+        rows = max(1, _BLOCK_DROPS // g.m)
+        block = np.empty((min(rows, n - 1), g.m))
+        for i in range(n - 1):
+            for s in range(i + 1, n, rows):
+                e = min(s + rows, n)
+                buf = block[: e - s]
+                np.subtract(drops[i], drops[s:e], out=buf)
+                upper[:, i, s:e] = _approx_sums(buf, g.w, qs)
+    out = []
+    k = 0
+    for p in ps:
         if p == 2.0:
             # q = 2: the edge sum collapses to the classic effective
             # resistance (e_i - e_j)^T L+ (e_i - e_j); metric and resistance
@@ -441,37 +484,64 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
             D = np.maximum(d[:, None] + d[None, :] - (Lp + Lp.T), 0.0)
             np.fill_diagonal(D, 0.0)
         else:
-            q = conjugate_exponent(p)
-            B = Lp[g.ei] - Lp[g.ej]  # row per edge: potentials of each column
-            for i in range(n - 1):
-                vals = _approx_sums(B[:, i : i + 1] - B[:, i + 1 :], g.w, q)
-                D[i, i + 1 :] = vals
-                D[i + 1 :, i] = vals
-        D = _approx_form(D, p, form)
-        config_fp = f"pinv={pinv.fingerprint}"
-    else:
-        cfg = cfg or SolverConfig()
-        tasks = [(g, p, form, cfg, pinv, i) for i in range(n - 1)]
-        if workers > 1:
-            from concurrent.futures import ProcessPoolExecutor
+            D = upper[k] + upper[k].T
+            k += 1
+        out.append(DistanceMatrix(
+            matrix=_approx_form(D, p, form),
+            p=p,
+            mode="approx",
+            form=form,
+            graph_fingerprint=g.fingerprint(),
+            config_fingerprint=f"pinv={pinv.fingerprint}",
+            kept=g.kept,
+        ))
+    return out
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_exact_row, tasks))
-        else:
-            rows = [_exact_row(t) for t in tasks]
-        for i, vals, row_warnings in sorted(rows):
-            D[i, i + 1 :] = vals
-            D[i + 1 :, i] = vals
-            warnings.extend(row_warnings)
-        config_fp = cfg.fingerprint()
+
+def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
+                    workers=1):
+    """All-pairs p-resistance (or metric) matrix.
+
+    Both modes compute the pseudoinverse once (or check the one passed)
+    and reuse it for every pair: approx mode is the one-p call of
+    `distance_matrices`; exact mode starts each pair's solver run from it,
+    records pairs that fail to converge in `warnings` and keeps their
+    best-so-far values. Exact-mode rows may be solved by a pool of `workers`
+    processes; the result is identical for any worker count.
+    """
+    if p <= P_MIN:
+        raise InvalidP(f"p must exceed 1, got {p}")
+    if mode not in ("approx", "exact"):
+        raise InvalidP(f"unknown mode {mode!r}")
+    _check_form(form)
+    if mode == "approx":
+        return distance_matrices(g, (p,), pinv, form)[0]
+    n = g.n
+    D = np.zeros((n, n))
+    warnings = []
+    pinv = _checked_pinv(pinv, g)
+    cfg = cfg or SolverConfig()
+    tasks = [(g, p, form, cfg, pinv, i) for i in range(n - 1)]
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_exact_row, tasks))
+    else:
+        rows = [_exact_row(t) for t in tasks]
+    for i, vals, row_warnings in sorted(rows):
+        D[i, i + 1 :] = vals
+        D[i + 1 :, i] = vals
+        warnings.extend(row_warnings)
     return DistanceMatrix(
         matrix=D,
         p=float(p),
         mode=mode,
         form=form,
         graph_fingerprint=g.fingerprint(),
-        config_fingerprint=config_fp,
+        config_fingerprint=cfg.fingerprint(),
         warnings=tuple(warnings),
+        kept=g.kept,
     )
 
 
@@ -479,17 +549,22 @@ _DMAT_MAGIC = b"PDMX"
 
 
 def save_distance_matrix(dm, path):
-    header = "\x1f".join(
-        [
-            str(dm.n),
-            repr(dm.p),
-            dm.mode,
-            dm.form,
-            dm.graph_fingerprint,
-            dm.config_fingerprint,
-            dm.meta,
-        ]
-    ).encode()
+    """Write `dm` as the magic, a length-prefixed header of fields joined by
+    0x1f, and the little-endian float payload. The kept ids follow as one
+    more field only for a matrix of a restricted graph, so the matrix of a
+    connected graph keeps its bytes."""
+    fields = [
+        str(dm.n),
+        repr(dm.p),
+        dm.mode,
+        dm.form,
+        dm.graph_fingerprint,
+        dm.config_fingerprint,
+        dm.meta,
+    ]
+    if dm.kept is not None:
+        fields.append(" ".join(map(str, dm.kept)))
+    header = "\x1f".join(fields).encode()
     with open(path, "wb") as f:
         f.write(_DMAT_MAGIC)
         f.write(struct.pack("<Q", len(header)))
@@ -512,11 +587,14 @@ def load_distance_matrix(path):
         fields = header.decode().split("\x1f")
         n, p, mode, form, graph_fp, config_fp = fields[:6]
         n, p = int(n), float(p)
+        kept = tuple(int(v) for v in fields[7].split()) if len(fields) > 7 else None
         data = np.frombuffer(blob, dtype="<f8", offset=12 + hlen)
     except (struct.error, ValueError) as exc:
         raise FingerprintMismatch(f"{path}: malformed distance-matrix file ({exc})") from None
     if n < 0 or data.size != n * n:
         raise FingerprintMismatch(f"{path}: expected {n * n} floats, got {data.size}")
+    if kept is not None and len(kept) != n:
+        raise FingerprintMismatch(f"{path}: {len(kept)} kept ids for n={n}")
     return DistanceMatrix(
         matrix=data.reshape(n, n).copy(),
         p=p,
@@ -525,6 +603,7 @@ def load_distance_matrix(path):
         graph_fingerprint=graph_fp,
         config_fingerprint=config_fp,
         meta=fields[6] if len(fields) > 6 else "",
+        kept=kept,
     )
 
 

@@ -57,6 +57,38 @@ def test_build_graph_records_kept_rows(tmp_path):
     assert g.n == 12 and g.kept == tuple(range(8, 20))
 
 
+def test_cluster_scores_kept_rows_of_restricted_graph(tmp_path):
+    # the same 8 + 12 two blobs: the matrix file names rows 8..19, so a
+    # label file of all 20 input rows scores the kept 12
+    rng = np.random.default_rng(3)
+    rows = [f"{x!r},{y!r}" for cx, size in ((10.0, 8), (0.0, 12))
+            for x, y in rng.normal(cx, 0.3, size=(size, 2)).tolist()]
+    features = tmp_path / "two_blobs.csv"
+    features.write_text("\n".join(rows) + "\n")
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n".join(["far"] * 8 + ["a"] * 6 + ["b"] * 6) + "\n")
+    graph, dist, out = tmp_path / "g.edges", tmp_path / "d.bin", tmp_path / "c.json"
+    assert run(["build-graph", "--features", features, "--mu", "0.2",
+                "--sigma", "0.5", "--on-disconnect", "largest_component",
+                "--out", graph]) == 0
+    assert run(["distances", "--graph", graph, "--p", "3", "--out", dist]) == 0
+    assert load_distance_matrix(dist).kept == tuple(range(8, 20))
+    assert run(["cluster", "--distances", dist, "--k", "2", "--labels", labels,
+                "--out", out]) == 0
+    result = json.loads(out.read_text())
+    assert len(result["assignments"]) == 12
+    kept_labels = tmp_path / "kept_labels.txt"
+    kept_labels.write_text("\n".join(["a"] * 6 + ["b"] * 6) + "\n")
+    assert run(["cluster", "--distances", dist, "--k", "2", "--labels",
+                kept_labels, "--out", tmp_path / "c2.json"]) == 0
+    assert json.loads((tmp_path / "c2.json").read_text())["error_rate"] == \
+        result["error_rate"]
+    short = tmp_path / "short_labels.txt"
+    short.write_text("\n".join(["a"] * 15) + "\n")
+    assert run(["cluster", "--distances", dist, "--k", "2", "--labels", short,
+                "--out", out]) == 2
+
+
 def test_distances_exact_on_singular_graph_exit_2(tmp_path, iris_csv, capsys):
     ds = load_features(iris_csv, has_labels=True)
     path = tmp_path / "g.edges"

@@ -19,6 +19,7 @@ from presistance.errors import (
     ParseError,
     RaggedRows,
 )
+from presistance import resistance
 from presistance.pipeline import ratio_rows_csv
 
 from conftest import reference_components, reference_knn_edges
@@ -206,6 +207,31 @@ def test_bench_grid_records_failures_and_continues():
     good = [r for r in result.records if not r.failed]
     assert failed and good
     assert all(np.isnan(r.error) for r in failed)
+
+
+def test_bench_grid_builds_each_p_once(monkeypatch):
+    # every approximate matrix passes the fault hook once; kmed_p2 and
+    # kmed_approx at p = 2 share one matrix, as do the kmed and ff methods
+    # at each p, so a graph builds each distinct p once
+    built = []
+    hook = resistance._approx_form
+
+    def counting_hook(metric, p, form):
+        built.append(p)
+        return hook(metric, p, form)
+
+    monkeypatch.setattr(resistance, "_approx_form", counting_hook)
+    result = bench_grid(
+        labeled_blobs(), mu_grid=(1.0,), sigma_grid=(0.1, 1.0),
+        p_grid=(2.0, 3.0), methods=("kmed_approx", "kmed_p2", "ff_approx"),
+        repetitions=2, seed=0,
+    )
+    assert sorted(built) == [2.0, 2.0, 3.0, 3.0]
+    errors = {(r.method, r.sigma, r.p, r.seed): r.error for r in result.records}
+    for sigma in (0.1, 1.0):
+        for seed in (0, 1):
+            assert (errors[("kmed_p2", sigma, 0.0, seed)]
+                    == errors[("kmed_approx", sigma, 2.0, seed)])
 
 
 def test_bench_grid_reproducible_bytes():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from presistance import (
+    FeatureDataset,
     Graph,
     GraphBuildParams,
     PairQuery,
@@ -9,6 +10,7 @@ from presistance import (
     approx_metric,
     approx_presistance,
     build_graph,
+    distance_matrices,
     distance_matrix,
     exact_presistance,
     export_distance_csv,
@@ -256,7 +258,7 @@ def test_approx_metric_forms():
     # identical endpoints give a zero metric at the kernel level
     ei, ej, w = g.ei, g.ej, g.w
     y = pinv.matrix[:, 1] - pinv.matrix[:, 1]
-    assert _approx_sums(y[ei] - y[ej], w, 1.5) == 0.0
+    assert _approx_sums((y[ei] - y[ej])[None, :], w, (1.5,))[0, 0] == 0.0
 
 
 def test_approx_rejects_mismatched_pinv():
@@ -353,6 +355,28 @@ def test_distance_matrix_persistence(tmp_path):
     assert float(rows[0].split(",")[0]) == 0.0
 
 
+def test_distance_matrix_persists_kept_rows(tmp_path):
+    # a restricted graph's kept ids ride in one more header field; a
+    # connected graph's header keeps its seven fields
+    g = build_graph(7, [(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (4, 5, 1.0),
+                        (5, 6, 1.0), (6, 3, 1.0)], largest_component=True)
+    assert g.kept == (3, 4, 5, 6)
+    dm = distance_matrix(g, 3.0)
+    assert dm.kept == (3, 4, 5, 6)
+    path = tmp_path / "d.bin"
+    save_distance_matrix(dm, path)
+    loaded = load_distance_matrix(path)
+    assert loaded.kept == (3, 4, 5, 6)
+    assert np.array_equal(loaded.matrix, dm.matrix)
+    connected = distance_matrix(random_connected(5, 8), 3.0)
+    assert connected.kept is None
+    save_distance_matrix(connected, path)
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[4:12], "little")
+    assert blob[12 : 12 + hlen].count(b"\x1f") == 6
+    assert load_distance_matrix(path).kept is None
+
+
 def test_load_distance_matrix_rejects_malformed_files(tmp_path):
     dm = distance_matrix(random_connected(5, 8), 2.5)
     path = tmp_path / "d.bin"
@@ -376,6 +400,10 @@ def test_load_distance_matrix_rejects_malformed_files(tmp_path):
         "negative size": header("-1", "2.5", "approx", "metric", "g", "c")
         + bytes(8),
         "header not text": b"PDMX" + (2).to_bytes(8, "little") + b"\xff\xfe",
+        "kept id not an integer": header("1", "2.5", "approx", "metric", "g",
+                                         "c", "", "x") + bytes(8),
+        "kept count not n": header("1", "2.5", "approx", "metric", "g", "c",
+                                   "", "3 4") + bytes(8),
     }
     for blob in cases.values():
         path.write_bytes(blob)
@@ -534,6 +562,90 @@ def test_approx_paths_negated_under_fault():
                                    negated=True)
     finally:
         clear_faults()
+
+
+KERNEL_PS = (1.1, 1.4, 2.0, 2.9, 10.0, 100.0, 1000.0)
+
+
+def _assert_matrices_match_pinv_reference(g, pairs):
+    # the metric of each pair straight from its definition on numpy's pinv,
+    # sum over edges of w |y_a - y_b|^q with y = L+ (e_i - e_j): no peak
+    # scaling, no log/exp, no blocks
+    Lp = np.linalg.pinv(laplacian(g))
+    a, b = np.array(pairs).T
+    Y = Lp[:, a] - Lp[:, b]
+    drops = np.abs(Y[g.ei] - Y[g.ej])
+    for p, dm in zip(KERNEL_PS, distance_matrices(g, KERNEL_PS)):
+        assert dm.p == p and dm.mode == "approx" and dm.form == "metric"
+        want = g.w @ drops ** (p / (p - 1.0))
+        got = dm.matrix[a, b]
+        assert np.all(np.abs(got - want) <= 1e-13 * want), p
+        assert np.array_equal(dm.matrix, dm.matrix.T)
+
+
+def test_distance_matrices_match_pinv_reference_random_graphs():
+    for seed in range(4):
+        g = random_connected(9, 900 + seed)
+        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+        _assert_matrices_match_pinv_reference(g, pairs)
+
+
+def test_distance_matrices_match_pinv_reference_iris(iris_csv):
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1e-3))
+    rng = np.random.default_rng(5)
+    pairs = [tuple(map(int, rng.choice(g.n, size=2, replace=False)))
+             for _ in range(200)]
+    _assert_matrices_match_pinv_reference(g, pairs)
+
+
+def test_distance_matrices_independent_of_block_size(iris_csv, monkeypatch):
+    # every other iris row: 75 vertices, 2775 edges, so the default block
+    # holds 23 pairs and most rows end in a partial block. One-pair blocks
+    # sum in einsum, larger ones in BLAS, whose sum of a row also depends
+    # on the row count of its block: each adds the 2775 edge terms in its
+    # own order, so entries agree to rounding (up to 1.1e-14 relative seen
+    # here, 3.1e-14 on all of iris), checked at the 1e-13 of the other
+    # path-agreement tests. A pair put in the wrong block or row is off by
+    # far more
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
+    g = knn_gaussian_graph(half, GraphBuildParams(mu=1.0, sigma=1e-3))
+    pinv = laplacian_pinv(g)
+    base = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv)]
+    for drops in (1, g.n * g.m):
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", drops)
+        for want, dm in zip(base, distance_matrices(g, KERNEL_PS, pinv)):
+            assert np.all(np.abs(dm.matrix - want) <= 1e-13 * want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_approx_kernel_identical_endpoints_give_zero():
+    # zero drops log to -inf and add exactly 0, also inside a block of pairs
+    w = np.array([1.0, 2.0, 0.5])
+    drops = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    qs = (1.001, 1.5, 11.0)
+    sums = _approx_sums(drops.copy(), w, qs)
+    assert np.all(sums[:, [0, 2]] == 0.0)
+    for k, q in enumerate(qs):
+        assert sums[k, 1] == pytest.approx(w @ np.abs(drops[1]) ** q, rel=1e-14)
+    g = random_connected(8, 31)
+    for form in ("metric", "resistance"):
+        for dm in distance_matrices(g, KERNEL_PS, form=form):
+            assert np.all(np.diag(dm.matrix) == 0.0)
+            off = dm.matrix[~np.eye(g.n, dtype=bool)]
+            assert np.all(off > 0.0)
+
+
+def test_distance_matrices_validation():
+    g = random_connected(5, 8)
+    assert distance_matrices(g, ()) == []
+    with pytest.raises(InvalidP):
+        distance_matrices(g, (3.0, 1.0))
+    with pytest.raises(InvalidP):
+        distance_matrices(g, (3.0,), form="cube")
+    with pytest.raises(FingerprintMismatch):
+        distance_matrices(g, (3.0,), pinv=laplacian_pinv(random_connected(5, 9)))
 
 
 def test_shortest_path_unreachable_is_inf():
