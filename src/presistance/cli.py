@@ -175,7 +175,8 @@ def cmd_cluster(args):
         raise errors.InvalidParams(f"unknown method {args.method!r}")
     extra = {"config": json.loads(_run_config(args)), "method": args.method}
     if args.labels:
-        truth = [line.strip() for line in open(args.labels) if line.strip()]
+        with open(args.labels) as f:
+            truth = [line.strip() for line in f if line.strip()]
         if dm.kept is not None and len(truth) != dm.n and len(truth) > max(dm.kept):
             # a label file of the input rows, for a matrix of the graph
             # restricted to its largest component: take the kept rows
@@ -234,7 +235,7 @@ def cmd_bound(args):
     one_norm = matrix_op_pnorm(proj, 1).value
     lines = ["p,alpha_estimate,worst_case,one_norm_ceiling,projector_one_norm"]
     for p in _parse_grid(args.p_grid):
-        b = approximation_bound(g, p, restarts=args.restarts, seed=args.seed)
+        b = approximation_bound(g, p, seed=args.seed)
         lines.append(
             f"{p!r},{b.value!r},{b.worst_case!r},{b.one_norm_ceiling!r},{one_norm!r}"
         )
@@ -285,6 +286,40 @@ def _config_defaults(path):
     if not isinstance(doc, dict):
         raise errors.InvalidParams(f"config {path} is not a JSON object")
     return doc
+
+
+def _install_config(sp, name, doc):
+    """Make the `--config` values the defaults of subcommand `name`, each
+    checked as if its flag had been given: its text converted by the flag's
+    type and found among its choices, a boolean for a switch, and a list of
+    such values for a repeatable flag."""
+    actions = {a.dest: a for a in sp._actions if a.dest != "help"}
+    for key in sorted(doc):
+        if key not in actions:
+            raise errors.InvalidParams(f"config key {key!r} is not an option of {name}")
+        action, value = actions[key], doc[key]
+        bad = errors.InvalidParams(
+            f"config {key}={value!r} is not a value of {action.option_strings[0]}"
+        )
+        repeated = isinstance(action, argparse._AppendAction)
+        if action.nargs == 0 and not isinstance(value, bool):
+            raise bad
+        if action.nargs == 0:
+            continue
+        if repeated != isinstance(value, list):
+            raise bad
+        items = []
+        for item in value if repeated else [value]:
+            try:
+                item = action.type(str(item)) if action.type else str(item)
+            except (TypeError, ValueError):
+                raise bad from None
+            if action.choices is not None and item not in action.choices:
+                raise bad
+            items.append(item)
+        doc[key] = items if repeated else items[0]
+        action.required = False
+    sp.set_defaults(**doc)
 
 
 def build_parser():
@@ -359,7 +394,6 @@ def build_parser():
     po.add_argument("--graph")
     po.add_argument("--generate")
     po.add_argument("--p-grid", default="1.5,2.0,3.0,5.0,10.0")
-    po.add_argument("--restarts", type=int, default=5)
     po.add_argument("--seed", type=int, default=0)
     po.add_argument("--out", required=True)
     po.set_defaults(func=cmd_bound)
@@ -391,28 +425,18 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    # first pass only to locate --config; its values become parser defaults
+    # first pass only to locate --config and the subcommand; the config
+    # values become that subcommand's defaults
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
+    probe.add_argument("subcommand", nargs="?")
     known, _ = probe.parse_known_args(argv)
     subparsers = parser._subparsers._group_actions[0].choices
-    options = {
-        name: {a.dest for a in sp._actions} - {"help"}
-        for name, sp in subparsers.items()
-    }
     try:
-        defaults = _config_defaults(known.config) if known.config else {}
-        for name, sp in subparsers.items():
-            sp.set_defaults(**{k: v for k, v in defaults.items() if k in options[name]})
-            for action in sp._actions:
-                if action.dest in defaults:
-                    action.required = False
+        if known.config and known.subcommand in subparsers:
+            _install_config(subparsers[known.subcommand], known.subcommand,
+                            _config_defaults(known.config))
         args = parser.parse_args(argv)
-        unknown = sorted(set(defaults) - options[args.subcommand])
-        if unknown:
-            raise errors.InvalidParams(
-                f"config key {unknown[0]!r} is not an option of {args.subcommand}"
-            )
         return args.func(args)
     except errors.PresistanceError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -20,6 +20,8 @@ from .graph import incidence, laplacian
 P_MIN = 1.0 + 1e-9
 # steps of each power iteration in `matrix_op_pnorm`
 _POWER_ITERATIONS = 100
+# seeded random starts of the power iteration in `approximation_bound`
+_BOUND_RESTARTS = 5
 
 
 def conjugate_exponent(p):
@@ -227,20 +229,13 @@ class ApproximationBound:
     iterations: int
 
 
-def edge_projector(g, p=None):
-    """C C+ (an orthogonal projector); optionally weighted by W^(1/p)."""
-    return _projector(incidence(g), g.w, p)
+def edge_projector(g):
+    """C C+, the orthogonal projector onto the image of the incidence matrix."""
+    C = incidence(g)
+    return C @ np.linalg.pinv(C)
 
 
-def _projector(C, w, p):
-    P = C @ np.linalg.pinv(C)
-    if p is None:
-        return P
-    scale = w ** (1.0 / p)
-    return (scale[:, None] * P) / scale[None, :]
-
-
-def approximation_bound(g, p, restarts=5, seed=0):
+def approximation_bound(g, p, seed=0):
     """Estimate the approximation bound factor for a graph at exponent p.
 
     The estimate is a lower bound on the true factor but at least 1 up to
@@ -250,10 +245,11 @@ def approximation_bound(g, p, restarts=5, seed=0):
     if p <= P_MIN:
         raise InvalidP(f"bound factor needs p > 1, got {p}")
     C = incidence(g)
-    E = _projector(C, g.w, p)
+    scale = g.w ** (1.0 / p)
+    E = (scale[:, None] * (C @ np.linalg.pinv(C))) / scale[None, :]
     # the drops C (e_0 - e_{n-1}), scaled: in the image of E
-    image_start = (g.w ** (1.0 / p)) * (C[:, 0] - C[:, -1])
-    est = matrix_op_pnorm(E, p, restarts=restarts, seed=seed,
+    image_start = scale * (C[:, 0] - C[:, -1])
+    est = matrix_op_pnorm(E, p, restarts=_BOUND_RESTARTS, seed=seed,
                           extra_starts=(image_start,))
     ceiling = max(np.abs(E).sum(axis=0).max(), np.abs(E).sum(axis=1).max())
     return ApproximationBound(

@@ -9,7 +9,8 @@ sweep (mu, sigma, p) grids, cluster, and score by error rate.
 import csv
 import io
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .errors import (
     InvalidParams,
     NonNumericFeature,
     ParseError,
+    PresistanceError,
     RaggedRows,
 )
 from .graph import build_graph
@@ -196,7 +198,7 @@ class BenchRecord:
 
 @dataclass(frozen=True)
 class BenchResult:
-    """Per-seed grid records plus the best configuration per method.
+    """Per-seed grid records, and each method's best configuration from them.
 
     Byte-for-byte reproducibility is promised for the results view only;
     wall-clock timings are reported separately because they can never be
@@ -204,10 +206,7 @@ class BenchResult:
     """
 
     dataset: str
-    seed: int
-    repetitions: int
     records: tuple
-    best: dict = field(default_factory=dict)
 
     def config_means(self):
         """Aggregate records to {(method, mu, sigma, p): (mean, sd, n)}."""
@@ -220,6 +219,19 @@ class BenchResult:
             key: (float(np.mean(errs)), float(np.std(errs)), len(errs))
             for key, errs in groups.items()
         }
+
+    @cached_property
+    def best(self):
+        """{method: its configuration of lowest mean error, the first of ties}."""
+        best = {}
+        for (method, mu, sigma, p), (mean, sd, count) in self.config_means().items():
+            cur = best.get(method)
+            if cur is None or mean < cur["error_mean"] - 1e-15:
+                best[method] = {
+                    "mu": mu, "sigma": sigma, "p": p,
+                    "error_mean": mean, "error_sd": sd, "repetitions": count,
+                }
+        return best
 
     def results_csv(self):
         out = io.StringIO()
@@ -245,16 +257,13 @@ PAPER_MU_GRID = (0.04, 0.06, 0.08, 0.1, 1.0)
 PAPER_SIGMA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 PAPER_P_GRID = (1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 2.9, 5.0, 10.0, 100.0, 1000.0)
 
-_METHODS = ("kmed_approx", "kmed_p2", "ff_approx", "sc2")
 
-
-def _method_p_values(method, p_grid):
-    return tuple(p_grid) if method in ("kmed_approx", "ff_approx") else (0.0,)
-
-
-def _run_cell(D, k, truth, method, rep_seed):
+def _run_cell(method, g, D, k, truth, rep_seed):
+    """Cluster one repetition of one cell: (error rate, wall seconds)."""
     t0 = time.perf_counter()
-    if method.startswith("kmed"):
+    if method == "sc2":
+        res = sc2_baseline(g, k, seed=rep_seed)
+    elif method.startswith("kmed"):
         res = k_medoids(D, k, seed=rep_seed, restarts=3)
     else:
         rng = np.random.default_rng(rep_seed)
@@ -275,15 +284,26 @@ def bench_grid(
     """Sweep the parameter grids, cluster at k = number of true classes,
     and record the error of every seeded repetition.
 
-    Cells that fail (disconnected graph, degenerate kernel) are recorded
-    with the failure reason and the sweep continues. The best configuration
-    per method is chosen by mean error over the repetitions.
+    Records come in the order mu, sigma, method, p, repetition. kmed_approx
+    and ff_approx run at each p of `p_grid`; kmed_p2 (k-medoids on the p = 2
+    matrix) and sc2 (spectral clustering) are recorded with p = 0. A cell
+    whose graph or pseudoinverse fails with a toolkit error (disconnected
+    graph, degenerate kernel, singular shift) is recorded with the failure
+    reason and the sweep continues; any other error propagates. The best
+    configuration per method is chosen by mean error over the repetitions.
     """
     if ds.labels is None:
         raise InvalidParams("bench_grid needs a labeled dataset")
+    # the p each method runs at; 0 marks the p = 2 baselines
+    method_ps = {"kmed_approx": p_grid, "kmed_p2": (0.0,),
+                 "ff_approx": p_grid, "sc2": (0.0,)}
     for method in methods:
-        if method not in _METHODS:
+        if method not in method_ps:
             raise InvalidParams(f"unknown method {method!r}")
+    # (method, recorded p, p of the matrix it clusters; sc2 clusters the graph)
+    cells = [(method, p, p or 2.0) for method in methods for p in method_ps[method]]
+    # each distinct p once, all from one kernel pass per graph
+    ps = sorted({at for method, _, at in cells if method != "sc2"})
     k = ds.n_classes
     records = []
     for mu in mu_grid:
@@ -292,82 +312,39 @@ def bench_grid(
             try:
                 g = knn_gaussian_graph(ds, GraphBuildParams(mu=mu, sigma=sigma))
                 pinv = laplacian_pinv(g)
-            except Exception as exc:
-                build_time = time.perf_counter() - t0
-                for method in methods:
-                    for p in _method_p_values(method, p_grid):
-                        for rep in range(repetitions):
-                            records.append(
-                                BenchRecord(
-                                    mu=mu, sigma=sigma, p=p, method=method,
-                                    seed=seed + rep, error=np.nan,
-                                    wall_time=build_time,
-                                    failed=type(exc).__name__,
-                                )
-                            )
-                continue
-            # each distinct p once, all from one kernel pass: kmed_p2 runs
-            # at p = 2 (recorded as p = 0), as does kmed_approx when its
-            # grid holds 2
-            ps = sorted({p if p > 0 else 2.0 for method in methods
-                         if method != "sc2"
-                         for p in _method_p_values(method, p_grid)})
-            matrices = dict(zip(ps, distance_matrices(g, ps, pinv)))
-            for method in methods:
-                for p in _method_p_values(method, p_grid):
-                    if method == "sc2":
-                        for rep in range(repetitions):
-                            t1 = time.perf_counter()
-                            res = sc2_baseline(g, k, seed=seed + rep)
-                            err = error_rate(res.assignments, ds.labels).error_rate
-                            records.append(
-                                BenchRecord(
-                                    mu=mu, sigma=sigma, p=0.0, method=method,
-                                    seed=seed + rep, error=err,
-                                    wall_time=time.perf_counter() - t1,
-                                )
-                            )
-                        continue
-                    D = matrices[p if p > 0 else 2.0].matrix
-                    for rep in range(repetitions):
-                        err, wall = _run_cell(D, k, ds.labels, method, seed + rep)
-                        records.append(
-                            BenchRecord(
-                                mu=mu, sigma=sigma, p=p, method=method,
-                                seed=seed + rep, error=err, wall_time=wall,
-                            )
+            except PresistanceError as exc:
+                failed, build_time = type(exc).__name__, time.perf_counter() - t0
+            else:
+                failed = ""
+                matrices = {p: dm.matrix
+                            for p, dm in zip(ps, distance_matrices(g, ps, pinv))}
+            for method, p, at in cells:
+                for rep in range(repetitions):
+                    if failed:
+                        err, wall = np.nan, build_time
+                    else:
+                        err, wall = _run_cell(method, g, matrices.get(at), k,
+                                              ds.labels, seed + rep)
+                    records.append(
+                        BenchRecord(
+                            mu=mu, sigma=sigma, p=p, method=method,
+                            seed=seed + rep, error=err, wall_time=wall,
+                            failed=failed,
                         )
-    result = BenchResult(
-        dataset=ds.name,
-        seed=seed,
-        repetitions=repetitions,
-        records=tuple(records),
-    )
-    best = {}
-    for (method, mu, sigma, p), (mean, sd, count) in result.config_means().items():
-        cur = best.get(method)
-        if cur is None or mean < cur["error_mean"] - 1e-15:
-            best[method] = {
-                "mu": mu, "sigma": sigma, "p": p,
-                "error_mean": mean, "error_sd": sd, "repetitions": count,
-            }
-    return BenchResult(
-        dataset=ds.name,
-        seed=seed,
-        repetitions=repetitions,
-        records=tuple(records),
-        best=best,
-    )
+                    )
+    return BenchResult(dataset=ds.name, records=tuple(records))
 
 
-def ratio_sweep(g, p_grid, sample_pairs=10, seed=0, cfg=None):
+_RATIO_SOLVER = SolverConfig(grad_tol=1e-10)
+
+
+def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
     """Measure approximated/exact metric ratios for sampled pairs.
 
     Emits one row per (p, pair): the two metric values, their ratio, and the
     theoretical ceiling (bound factor to the q). Nothing is asserted; the
     data is meant for plotting and for the verification suites.
     """
-    cfg = cfg or SolverConfig(grad_tol=1e-10)
     rng = np.random.default_rng(seed)
     pairs = set()
     limit = g.n * (g.n - 1) // 2
@@ -387,7 +364,7 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0, cfg=None):
         hard_ceiling = min(bound.one_norm_ceiling, bound.worst_case) ** q
         for i, j in pairs:
             approx = approx_metric(pinv, g, PairQuery(i=i, j=j, p=p))
-            report = ssl_solve(g, p, i, j, cfg, pinv=pinv)
+            report = ssl_solve(g, p, i, j, _RATIO_SOLVER, pinv=pinv)
             exact = (1.0 / report.energy) ** (1.0 / (p - 1.0))
             rows.append(
                 {

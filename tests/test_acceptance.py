@@ -98,7 +98,7 @@ def test_criterion_02_two_sided_bound():
         g = random_connected(n, int(rng.integers(1 << 30)))
         pinv = laplacian_pinv(g)
         for p in (1.5, 3.0, 5.0):
-            bound = approximation_bound(g, p, restarts=5, seed=c)
+            bound = approximation_bound(g, p, seed=c)
             # estimator sanity: at least 1, at most the exact interpolation cap
             assert bound.value >= 1 - 1e-9
             assert bound.value <= bound.one_norm_ceiling + 1e-9
@@ -271,7 +271,7 @@ def test_criterion_07a_bound_factor_ranges():
         for n in (5, 10, 20, 40):
             g = generate(fam, n=n)
             for p in (1.5, 2.0, 3.0, 5.0):
-                b = approximation_bound(g, p, restarts=5, seed=0)
+                b = approximation_bound(g, p, seed=0)
                 assert b.value <= 4.0 + 1e-9, f"{fam}({n}) p={p}: above 4"
                 assert b.value >= 1 - 1e-9
                 assert b.value <= b.worst_case + 1e-9
@@ -283,7 +283,7 @@ def test_criterion_07a_bound_factor_ranges():
     for c in range(10):
         g = random_connected(int(rng.integers(4, 13)), int(rng.integers(1 << 30)))
         for p in (1.5, 3.0, 5.0):
-            b = approximation_bound(g, p, restarts=5, seed=c)
+            b = approximation_bound(g, p, seed=c)
             assert 1 - 1e-9 <= b.value <= b.worst_case + 1e-9
     elapsed = time.time() - t0
     report("07a", "bound factor ranges (complete/cycle <= 4, all in "

@@ -279,6 +279,35 @@ def test_config_keys_must_be_options_of_the_subcommand(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_values_get_their_flags_checks(tmp_path, blob_csv, capsys):
+    cfg = tmp_path / "cfg.json"
+    dist = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "path:n=5", "--p", "3",
+                "--out", dist]) == 0
+    cluster = ["cluster", "--distances", dist, "--out", tmp_path / "c.json"]
+    build = ["build-graph", "--features", blob_csv, "--mu", "0.5",
+             "--sigma", "0.5", "--out", tmp_path / "g.edges"]
+    # a k that is no integer, with and without restarts, a label column that
+    # is not a choice and a switch that is no boolean exit 2, as their flags
+    for doc, argv in (({"k": 2.5, "restarts": 1}, cluster), ({"k": 2.5}, cluster),
+                      ({"labels": "middle"}, build), ({"standardize": "yes"}, build)):
+        cfg.write_text(json.dumps(doc))
+        assert run(["--config", cfg, *argv]) == 2
+        assert "InvalidParams" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists() and not (tmp_path / "g.edges").exists()
+    # an integer p is read as the float `--p 3` gives: the same bytes
+    cfg.write_text(json.dumps({"p": 3}))
+    out = tmp_path / "d3.bin"
+    assert run(["--config", cfg, "distances", "--generate", "path:n=5",
+                "--out", out]) == 0
+    assert out.read_bytes() == dist.read_bytes()
+    # a repeatable flag takes a list of its values
+    cfg.write_text(json.dumps({"suite": ["laplacian-identities"]}))
+    assert run(["--config", cfg, "verify", "--quiet"]) == 0
+    cfg.write_text(json.dumps({"suite": "laplacian-identities"}))
+    assert run(["--config", cfg, "verify", "--quiet"]) == 2
+
+
 def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["distances", "--out", "x"])  # missing required --p

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,13 @@ from presistance import (
 )
 from presistance.errors import (
     Disconnected,
+    InvalidP,
     InvalidParams,
     NonNumericFeature,
     ParseError,
     RaggedRows,
 )
-from presistance import resistance
+from presistance import pipeline, resistance
 from presistance.pipeline import ratio_rows_csv
 
 from conftest import reference_components, reference_knn_edges
@@ -245,6 +247,48 @@ def test_bench_grid_reproducible_bytes():
     b = bench_grid(ds, **kwargs)
     assert a.results_csv() == b.results_csv()
     assert a.best == b.best
+
+
+def test_bench_grid_output_pinned():
+    # all four methods, two p, and a mu (k = 0) whose cells all fail: the
+    # record order, the p = 0 rows of kmed_p2 and sc2, the failure records
+    # and the best configurations stay as they are
+    result = bench_grid(
+        labeled_blobs(), mu_grid=(0.01, 0.5), sigma_grid=(0.001, 0.01),
+        p_grid=(1.5, 3.0), methods=("kmed_approx", "kmed_p2", "ff_approx", "sc2"),
+        repetitions=2, seed=0,
+    )
+    assert len(result.records) == 48
+    assert hashlib.sha256(result.results_csv().encode()).hexdigest() == (
+        "0bd58ebfcdae068326514e8f607cf521ef29a0d8d5277ec24bce30e4ef9e8fbb"
+    )
+    cell = {"error_sd": 0.0, "repetitions": 2}
+    assert result.best == {
+        "kmed_approx": {"mu": 0.5, "sigma": 0.001, "p": 3.0,
+                        "error_mean": 0.050000000000000044, **cell},
+        "kmed_p2": {"mu": 0.5, "sigma": 0.01, "p": 0.0, "error_mean": 0.0, **cell},
+        "ff_approx": {"mu": 0.5, "sigma": 0.001, "p": 1.5, "error_mean": 0.0, **cell},
+        "sc2": {"mu": 0.5, "sigma": 0.001, "p": 0.0, "error_mean": 0.0, **cell},
+    }
+
+
+def test_bench_grid_records_only_toolkit_errors(monkeypatch):
+    # a programming error is no failed cell: it propagates
+    def broken(ds, params):
+        raise TypeError("broken graph builder")
+
+    monkeypatch.setattr(pipeline, "knn_gaussian_graph", broken)
+    with pytest.raises(TypeError, match="broken graph builder"):
+        bench_grid(labeled_blobs(), mu_grid=(1.0,), sigma_grid=(1.0,),
+                   p_grid=(2.0,), methods=("kmed_approx",), repetitions=1)
+
+
+def test_bench_grid_rejects_bad_p():
+    # a p <= 1 is an error: neither a failed cell nor a run on the p = 2 matrix
+    for p in (-1.0, 1.0):
+        with pytest.raises(InvalidP):
+            bench_grid(labeled_blobs(), mu_grid=(1.0,), sigma_grid=(1.0,),
+                       p_grid=(p,), methods=("kmed_approx",), repetitions=1)
 
 
 def test_standardize():
