@@ -38,7 +38,7 @@ for i in range(g.n):
         lo, hi = min(lo, ratio), max(hi, ratio)
 print(f"approx/exact in [{lo:.4f}, {hi:.4f}]; "
       f"factor^p ceiling = {b.value ** 3:.4f} (estimate), "
-      f"{min(b.one_norm_ceiling, b.worst_case) ** 3:.4f} (rigorous)")
+      f"{b.ceiling ** 3:.4f} (rigorous)")
 
 print("\n== ratio table (metric form): 1 at p=2, grows away from it ==")
 rows = ratio_sweep(g, (1.5, 2.0, 3.0, 5.0), sample_pairs=5, seed=1)

@@ -262,10 +262,8 @@ def cmd_verify(args):
     if args.inject_fault:
         inject_fault(args.inject_fault)
     try:
-        report = run_suites(
-            names=args.suite or None, seed=args.seed, n=args.n,
-            verbose=not args.quiet,
-        )
+        report = run_suites(names=args.suite or None, seed=args.seed,
+                            verbose=not args.quiet)
     finally:
         clear_faults()
     report["config"] = json.loads(_run_config(args))
@@ -410,8 +408,6 @@ def build_parser():
     pv = sub.add_parser("verify", help="run the invariant suites")
     pv.add_argument("--suite", action="append",
                     help="suite name (repeatable); default all")
-    pv.add_argument("--n", type=int, default=None,
-                    help="override the graph-size ceiling of sized suites")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--report", help="write a JSON report here")
     pv.add_argument("--quiet", action="store_true")

@@ -25,7 +25,7 @@ _BOUND_RESTARTS = 5
 
 
 def conjugate_exponent(p):
-    """q with 1/p + 1/q = 1; infinity maps to 1 and vice versa."""
+    """q with 1/p + 1/q = 1; infinity maps to 1."""
     if p == np.inf:
         return 1.0
     if p <= P_MIN:
@@ -80,10 +80,6 @@ class LaplacianPinv:
     matrix: np.ndarray
     fingerprint: str
 
-    @property
-    def n(self):
-        return self.matrix.shape[0]
-
 
 def _pinv_residual(L, Lp):
     scale = max(np.linalg.norm(L), 1.0)
@@ -126,14 +122,18 @@ class PNormEstimate:
     """Operator p-norm estimate; exact closed form when p is 1 or infinity."""
 
     value: float
-    p: float
-    restarts: int
     iterations: int
     exact: bool
 
 
 def _signed_power(v, theta):
     return np.sign(v) * np.abs(v) ** theta
+
+
+def _abs_sum_norm(M, axis):
+    """Largest absolute column sum (axis 0, the operator 1-norm) or row sum
+    (axis 1, the operator inf-norm) of M."""
+    return float(np.abs(M).sum(axis=axis).max())
 
 
 def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
@@ -150,22 +150,9 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
         raise NonFinite("matrix contains NaN or Inf")
     if M.ndim != 2:
         raise DimensionMismatch("matrix must be 2-d")
-    if p == 1:
-        return PNormEstimate(
-            value=float(np.abs(M).sum(axis=0).max()),
-            p=1.0,
-            restarts=0,
-            iterations=0,
-            exact=True,
-        )
-    if p == np.inf:
-        return PNormEstimate(
-            value=float(np.abs(M).sum(axis=1).max()),
-            p=np.inf,
-            restarts=0,
-            iterations=0,
-            exact=True,
-        )
+    if p == 1 or p == np.inf:
+        return PNormEstimate(value=_abs_sum_norm(M, 0 if p == 1 else 1),
+                             iterations=0, exact=True)
     if p < 1:
         raise InvalidP(f"p must be >= 1 or inf, got {p}")
     q = conjugate_exponent(p)
@@ -205,9 +192,7 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
                     break
                 x = xn / nxn
         best = max(best, float(gamma))
-    return PNormEstimate(
-        value=best, p=float(p), restarts=restarts, iterations=total_iters, exact=False
-    )
+    return PNormEstimate(value=best, iterations=total_iters, exact=False)
 
 
 @dataclass(frozen=True)
@@ -215,18 +200,22 @@ class ApproximationBound:
     """Operator p-norm of the weighted edge projector W^(1/p) C C+ W^(-1/p).
 
     This factor governs how loose the pseudoinverse-based resistance
-    approximation can get: the exact value is always within [approx / value^p,
-    approx]. `worst_case` is the structure-free ceiling m^|1/2 - 1/p|, and
-    `one_norm_ceiling` the exactly computable max(1-norm, inf-norm) bound.
+    approximation can get. `value` is a power-iteration estimate, a lower
+    bound on the true factor. `worst_case` is the structure-free ceiling
+    m^|1/2 - 1/p|, and `one_norm_ceiling` the exactly computable
+    max(1-norm, inf-norm) bound; `ceiling`, the smaller of the two, is a
+    rigorous upper bound, so the exact value always lies within
+    [approx / ceiling^p, approx].
     """
 
-    fingerprint: str
-    p: float
     value: float
     worst_case: float
     one_norm_ceiling: float
-    restarts: int
     iterations: int
+
+    @property
+    def ceiling(self):
+        return min(self.one_norm_ceiling, self.worst_case)
 
 
 def edge_projector(g):
@@ -244,20 +233,17 @@ def approximation_bound(g, p, seed=0):
     """
     if p <= P_MIN:
         raise InvalidP(f"bound factor needs p > 1, got {p}")
-    C = incidence(g)
     scale = g.w ** (1.0 / p)
-    E = (scale[:, None] * (C @ np.linalg.pinv(C))) / scale[None, :]
+    E = (scale[:, None] * edge_projector(g)) / scale[None, :]
     # the drops C (e_0 - e_{n-1}), scaled: in the image of E
-    image_start = scale * (C[:, 0] - C[:, -1])
+    x = np.zeros(g.n)
+    x[0], x[-1] = 1.0, -1.0
+    image_start = scale * (x[g.ei] - x[g.ej])
     est = matrix_op_pnorm(E, p, restarts=_BOUND_RESTARTS, seed=seed,
                           extra_starts=(image_start,))
-    ceiling = max(np.abs(E).sum(axis=0).max(), np.abs(E).sum(axis=1).max())
     return ApproximationBound(
-        fingerprint=g.fingerprint(),
-        p=float(p),
         value=est.value,
         worst_case=float(g.m ** abs(0.5 - 1.0 / p)),
-        one_norm_ceiling=float(ceiling),
-        restarts=est.restarts,
+        one_norm_ceiling=max(_abs_sum_norm(E, 0), _abs_sum_norm(E, 1)),
         iterations=est.iterations,
     )

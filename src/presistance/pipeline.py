@@ -18,6 +18,7 @@ from .clustering import error_rate, farthest_first, k_medoids, sc2_baseline
 from .errors import (
     DegenerateKernel,
     Disconnected,
+    InvalidP,
     InvalidParams,
     NonNumericFeature,
     ParseError,
@@ -25,7 +26,7 @@ from .errors import (
     RaggedRows,
 )
 from .graph import build_graph
-from .numerics import approximation_bound, conjugate_exponent, laplacian_pinv
+from .numerics import P_MIN, approximation_bound, conjugate_exponent, laplacian_pinv
 from .resistance import (
     PairQuery,
     SolverConfig,
@@ -300,6 +301,11 @@ def bench_grid(
     for method in methods:
         if method not in method_ps:
             raise InvalidParams(f"unknown method {method!r}")
+    # checked up front: a p <= 1 is an error, neither a failed cell (the
+    # graph may not build) nor a run on the p = 2 matrix (p = 0 marks it)
+    for p in p_grid:
+        if p <= P_MIN:
+            raise InvalidP(f"p must exceed 1, got {p}")
     # (method, recorded p, p of the matrix it clusters; sc2 clusters the graph)
     cells = [(method, p, p or 2.0) for method in methods for p in method_ps[method]]
     # each distinct p once, all from one kernel pass per graph
@@ -359,9 +365,9 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
         q = conjugate_exponent(p)
         bound = approximation_bound(g, p, seed=seed)
         # the estimator is a lower estimate of the true factor; the emitted
-        # hard ceiling uses the exactly computable interpolation bound
+        # hard ceiling is the rigorous one
         est_ceiling = max(bound.value, 1.0) ** q
-        hard_ceiling = min(bound.one_norm_ceiling, bound.worst_case) ** q
+        hard_ceiling = bound.ceiling ** q
         for i, j in pairs:
             approx = approx_metric(pinv, g, PairQuery(i=i, j=j, p=p))
             report = ssl_solve(g, p, i, j, _RATIO_SOLVER, pinv=pinv)

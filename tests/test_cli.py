@@ -401,3 +401,8 @@ def test_artifact_bytes_independent_of_input_directory(tmp_path, blob_csv):
     doc = json.loads(outputs[0][2])
     assert doc["error_rate"] == 0.0
     assert "distances" not in doc["config"] and "labels" not in doc["config"]
+
+
+def test_verify_runs_every_suite_and_the_fault_fails_it():
+    assert run(["verify", "--quiet"]) == 0
+    assert run(["verify", "--quiet", "--inject-fault", "approx-sign"]) == 1

@@ -183,6 +183,7 @@ def test_approximation_bound_range():
             b = approximation_bound(g, p, seed=seed)
             assert 1 - 1e-9 <= b.value <= b.worst_case + 1e-9
             assert b.value <= b.one_norm_ceiling + 1e-9
+            assert b.ceiling == min(b.one_norm_ceiling, b.worst_case)
 
 
 def test_approximation_bound_complete_and_cycle_small():

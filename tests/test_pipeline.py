@@ -284,10 +284,12 @@ def test_bench_grid_records_only_toolkit_errors(monkeypatch):
 
 
 def test_bench_grid_rejects_bad_p():
-    # a p <= 1 is an error: neither a failed cell nor a run on the p = 2 matrix
-    for p in (-1.0, 1.0):
+    # a p <= 1 is an error: neither a failed cell nor a run on the p = 2
+    # matrix, also at p = 0 (the baselines' marker) and on a cell whose
+    # graph does not build (mu = 0.05 disconnects the blobs)
+    for mu, p in ((1.0, -1.0), (1.0, 1.0), (1.0, 0.0), (0.05, -1.0)):
         with pytest.raises(InvalidP):
-            bench_grid(labeled_blobs(), mu_grid=(1.0,), sigma_grid=(1.0,),
+            bench_grid(labeled_blobs(), mu_grid=(mu,), sigma_grid=(1.0,),
                        p_grid=(p,), methods=("kmed_approx",), repetitions=1)
 
 
