@@ -18,7 +18,6 @@ from .clustering import error_rate, farthest_first, k_medoids, sc2_baseline
 from .errors import (
     DegenerateKernel,
     Disconnected,
-    InvalidP,
     InvalidParams,
     NonNumericFeature,
     ParseError,
@@ -26,7 +25,7 @@ from .errors import (
     RaggedRows,
 )
 from .graph import build_graph
-from .numerics import P_MIN, approximation_bound, conjugate_exponent, laplacian_pinv
+from .numerics import approximation_bound, check_p, conjugate_exponent, laplacian_pinv
 from .resistance import (
     PairQuery,
     SolverConfig,
@@ -295,49 +294,48 @@ def bench_grid(
     """
     if ds.labels is None:
         raise InvalidParams("bench_grid needs a labeled dataset")
+    # checked up front: a bad mu, sigma or p is an error, not a failed cell
+    # (the graph may not build), nor is a p <= 1 a run on the p = 2 matrix
+    p_grid = tuple(map(check_p, p_grid))
+    graphs = [GraphBuildParams(mu=mu, sigma=sigma)
+              for mu in mu_grid for sigma in sigma_grid]
     # the p each method runs at; 0 marks the p = 2 baselines
     method_ps = {"kmed_approx": p_grid, "kmed_p2": (0.0,),
                  "ff_approx": p_grid, "sc2": (0.0,)}
     for method in methods:
         if method not in method_ps:
             raise InvalidParams(f"unknown method {method!r}")
-    # checked up front: a p <= 1 is an error, neither a failed cell (the
-    # graph may not build) nor a run on the p = 2 matrix (p = 0 marks it)
-    for p in p_grid:
-        if p <= P_MIN:
-            raise InvalidP(f"p must exceed 1, got {p}")
     # (method, recorded p, p of the matrix it clusters; sc2 clusters the graph)
     cells = [(method, p, p or 2.0) for method in methods for p in method_ps[method]]
     # each distinct p once, all from one kernel pass per graph
     ps = sorted({at for method, _, at in cells if method != "sc2"})
     k = ds.n_classes
     records = []
-    for mu in mu_grid:
-        for sigma in sigma_grid:
-            t0 = time.perf_counter()
-            try:
-                g = knn_gaussian_graph(ds, GraphBuildParams(mu=mu, sigma=sigma))
-                pinv = laplacian_pinv(g)
-            except PresistanceError as exc:
-                failed, build_time = type(exc).__name__, time.perf_counter() - t0
-            else:
-                failed = ""
-                matrices = {p: dm.matrix
-                            for p, dm in zip(ps, distance_matrices(g, ps, pinv))}
-            for method, p, at in cells:
-                for rep in range(repetitions):
-                    if failed:
-                        err, wall = np.nan, build_time
-                    else:
-                        err, wall = _run_cell(method, g, matrices.get(at), k,
-                                              ds.labels, seed + rep)
-                    records.append(
-                        BenchRecord(
-                            mu=mu, sigma=sigma, p=p, method=method,
-                            seed=seed + rep, error=err, wall_time=wall,
-                            failed=failed,
-                        )
+    for params in graphs:
+        t0 = time.perf_counter()
+        try:
+            g = knn_gaussian_graph(ds, params)
+            pinv = laplacian_pinv(g)
+        except PresistanceError as exc:
+            failed, build_time = type(exc).__name__, time.perf_counter() - t0
+        else:
+            failed = ""
+            matrices = {p: dm.matrix
+                        for p, dm in zip(ps, distance_matrices(g, ps, pinv))}
+        for method, p, at in cells:
+            for rep in range(repetitions):
+                if failed:
+                    err, wall = np.nan, build_time
+                else:
+                    err, wall = _run_cell(method, g, matrices.get(at), k,
+                                          ds.labels, seed + rep)
+                records.append(
+                    BenchRecord(
+                        mu=params.mu, sigma=params.sigma, p=p, method=method,
+                        seed=seed + rep, error=err, wall_time=wall,
+                        failed=failed,
                     )
+                )
     return BenchResult(dataset=ds.name, records=tuple(records))
 
 
@@ -351,9 +349,13 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
     theoretical ceiling (bound factor to the q). Nothing is asserted; the
     data is meant for plotting and for the verification suites.
     """
+    p_grid = tuple(p_grid)
+    limit = g.n * (g.n - 1) // 2
+    if min(sample_pairs, limit) < 1 or not p_grid:
+        raise InvalidParams(f"ratio_sweep needs a pair and a p, got "
+                            f"{sample_pairs} pairs and p grid {p_grid}")
     rng = np.random.default_rng(seed)
     pairs = set()
-    limit = g.n * (g.n - 1) // 2
     while len(pairs) < min(sample_pairs, limit):
         i, j = rng.integers(0, g.n, size=2)
         if i != j:

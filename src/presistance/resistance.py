@@ -28,8 +28,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DimensionMismatch, FingerprintMismatch, InvalidP
 from .numerics import (
-    P_MIN,
     _signed_power,
+    check_p,
     conjugate_exponent,
     laplacian_pinv,
 )
@@ -49,8 +49,7 @@ class PairQuery:
     def __post_init__(self):
         if self.i == self.j:
             raise DimensionMismatch("pair query needs two distinct vertices")
-        if self.p <= P_MIN:
-            raise InvalidP(f"p must exceed 1, got {self.p}")
+        check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,11 @@ class SolverConfig:
     """Settings for the pinned-drop energy minimizer.
 
     `grad_tol` is the one setting: `converged` in the report means the
-    final free gradient meets it, and a stage of the p and smoothing
-    ladders may stop early only once it does (or once the Newton decrement
-    has stopped shrinking tenfold per step). The energy tolerance, the
-    final smoothing and the step budget are the module constants
-    `_REL_ENERGY_TOL`, `_SMOOTHING_EPS` and `_MAX_STEPS`.
+    final free gradient meets it, and a stage of `_stages` may stop early
+    only once it does (or once the Newton decrement has stopped shrinking
+    tenfold per step). The energy tolerance, the final smoothing and the
+    step budget are the module constants `_REL_ENERGY_TOL`,
+    `_SMOOTHING_EPS` and `_MAX_STEPS`.
     """
 
     grad_tol: float = 1e-8
@@ -150,32 +149,23 @@ def p_energy_gradient(g, x, p):
     return _edge_kernel(g.ei, g.ej, g.w, np.asarray(x, dtype=float), p, gradient=True)
 
 
-def _continuation_exponents(p):
-    # solve a short ladder of easier exponents first when p is large;
-    # each stage warm-starts the next
+def _stages(p):
+    # (exponent, smoothing eps) of each Newton stage at p, each warm-starting
+    # the next: above p = 8 a ladder of easier exponents 8, 20, 50, ...;
+    # below p = 2, where the smoothed curvature at zero drops is ~ eps^(p-2),
+    # smoothings graded from 1e-2 down by factors of 1e-2
     stages = []
-    if p > 8.0:
-        v = 8.0
-        while v < p:
-            stages.append(v)
-            v *= 2.5
-    stages.append(p)
+    v = 8.0
+    while v < p:
+        stages.append((v, _SMOOTHING_EPS))
+        v *= 2.5
+    if p < 2.0:
+        v = 1e-2
+        while v > _SMOOTHING_EPS * 100.0:
+            stages.append((p, v))
+            v *= 1e-2
+    stages.append((p, _SMOOTHING_EPS))
     return stages
-
-
-def _smoothing_ladder(p, eps):
-    # below p = 2 the smoothed problem has curvature ~ eps^(p-2) at zero
-    # drops; grading the smoothing from coarse to fine keeps each stage
-    # well conditioned
-    if p >= 2.0:
-        return [eps]
-    ladder = []
-    v = 1e-2
-    while v > eps * 100.0:
-        ladder.append(v)
-        v *= 1e-2
-    ladder.append(eps)
-    return ladder
 
 
 def _hessian_layout(ei, ej, free, n):
@@ -266,10 +256,10 @@ def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     `SolverReport`; the reciprocal of its energy is the p-resistance.
     """
     cfg = cfg or SolverConfig()
-    if p <= P_MIN:
-        raise InvalidP(f"p must exceed 1, got {p}")
-    if i == j or not (0 <= i < g.n and 0 <= j < g.n):
-        raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
+    p = check_p(p)
+    if p == np.inf:
+        raise InvalidP("the exact solver needs a finite p, got inf")
+    _check_pair(g, i, j)
     pinv = _checked_pinv(pinv, g)
 
     edges = ei, ej, w = g.ei, g.ej, g.w
@@ -282,20 +272,17 @@ def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     # Newton works on the smoothed energy sum w (d^2 + eps^2)^(p/2): same
     # minimizer up to O(eps), but twice differentiable at zero drops, where
     # the raw |d|^(p-1) sgn(d) term flips sign and its curvature blows up
-    # for p < 2. Large p is reached through a ladder of easier exponents,
-    # p < 2 through a ladder of smoothings, each stage warm-starting the next
+    # for p < 2
     total_iterations = 0
     grad_norm = 0.0
-    for pp in _continuation_exponents(p):
-        for eps in _smoothing_ladder(pp, _SMOOTHING_EPS):
-            # overlong line-search probes may overflow to inf; Armijo
-            # rejects them
-            with np.errstate(over="ignore"):
-                x, grad_norm, its = _newton(
-                    x, edges, free, layout, pp, eps * eps, cfg.grad_tol,
-                    _MAX_STEPS - total_iterations,
-                )
-            total_iterations += its
+    for pp, eps in _stages(p):
+        # overlong line-search probes may overflow to inf; Armijo rejects them
+        with np.errstate(over="ignore"):
+            x, grad_norm, its = _newton(
+                x, edges, free, layout, pp, eps * eps, cfg.grad_tol,
+                _MAX_STEPS - total_iterations,
+            )
+        total_iterations += its
 
     return SolverReport(
         energy=_edge_kernel(ei, ej, w, x, p),
@@ -314,6 +301,12 @@ def exact_presistance(g, query, cfg=None):
     """
     report = ssl_solve(g, query.p, query.i, query.j, cfg)
     return 1.0 / report.energy, report
+
+
+def _check_pair(g, i, j):
+    """Raise `DimensionMismatch` unless i, j are distinct vertices of `g`."""
+    if i == j or not (0 <= i < g.n and 0 <= j < g.n):
+        raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
 
 
 def _checked_pinv(pinv, g):
@@ -384,6 +377,7 @@ def approx_metric(pinv, g, query):
     This is the r^(1/(p-1)) form used for clustering; it stays numerically
     robust even for very large p because only the q-th power is taken.
     """
+    _check_pair(g, query.i, query.j)
     pinv = _checked_pinv(pinv, g)
     y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
     drops = (y[g.ei] - y[g.ej])[None, :]
@@ -450,10 +444,7 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
     the pairs of each row are taken in blocks of about `_BLOCK_DROPS`
     drops, and `_approx_sums` evaluates each block at every p.
     """
-    ps = tuple(float(p) for p in ps)
-    for p in ps:
-        if p <= P_MIN:
-            raise InvalidP(f"p must exceed 1, got {p}")
+    ps = tuple(check_p(p) for p in ps)
     _check_form(form)
     pinv = _checked_pinv(pinv, g)
     Lp = pinv.matrix
@@ -509,13 +500,12 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     best-so-far values. Exact-mode rows may be solved by a pool of `workers`
     processes; the result is identical for any worker count.
     """
-    if p <= P_MIN:
-        raise InvalidP(f"p must exceed 1, got {p}")
     if mode not in ("approx", "exact"):
         raise InvalidP(f"unknown mode {mode!r}")
-    _check_form(form)
     if mode == "approx":
         return distance_matrices(g, (p,), pinv, form)[0]
+    p = check_p(p)
+    _check_form(form)
     n = g.n
     D = np.zeros((n, n))
     warnings = []
@@ -535,7 +525,7 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
         warnings.extend(row_warnings)
     return DistanceMatrix(
         matrix=D,
-        p=float(p),
+        p=p,
         mode=mode,
         form=form,
         graph_fingerprint=g.fingerprint(),

@@ -122,6 +122,35 @@ def test_distances_closed_form_and_p_validation(tmp_path):
                 "--out", out]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["distances", "--generate", "cycle:n=6", "--p", "nan"],
+    ["bound", "--generate", "cycle:n=6", "--p-grid", "nan"],
+    ["ratio", "--generate", "cycle:n=6", "--p-grid", "nan", "--pairs", "2"],
+], ids=["distances", "bound", "ratio"])
+def test_nan_p_exits_2(tmp_path, argv, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", out]) == 2
+    assert "InvalidP" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [["--pairs", "0"], ["--p-grid", ""]],
+                         ids=["no_pairs", "no_p"])
+def test_ratio_without_rows_exits_2(tmp_path, extra, capsys):
+    out = tmp_path / "r.csv"
+    assert run(["ratio", "--generate", "cycle:n=6", *extra, "--out", out]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    # a directory as the features file: IsADirectoryError, an OSError
+    assert run(["build-graph", "--features", tmp_path, "--mu", "1",
+                "--sigma", "1", "--out", tmp_path / "g.edges"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "g.edges").exists()
+
+
 def test_distances_reproducible_bytes(tmp_path):
     out = tmp_path / "a.bin"
     args = ["distances", "--generate", "gnp_connected:n=12,edge_prob=0.4",
@@ -238,6 +267,17 @@ def test_bench_command(tmp_path, blob_csv):
     assert run(args) == 0
     assert (out_dir / "results.csv").read_text() == first
     assert (out_dir / "timing.csv").exists()
+
+
+@pytest.mark.parametrize("mu, sigma", [("2.0", "1.0"), ("1.0", "-1")],
+                         ids=["bad_mu", "bad_sigma"])
+def test_bench_bad_grid_exits_2(tmp_path, blob_csv, mu, sigma, capsys):
+    out_dir = tmp_path / "bench"
+    assert run(["bench", "--features", blob_csv, "--mu-grid", mu,
+                "--sigma-grid", sigma, "--p-grid", "3", "--repetitions", "1",
+                "--out-dir", out_dir]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
 
 
 def test_verify_subset_and_fault_injection(tmp_path):

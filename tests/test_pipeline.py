@@ -7,11 +7,19 @@ import pytest
 from presistance import (
     FeatureDataset,
     GraphBuildParams,
+    PairQuery,
+    approximation_bound,
     bench_grid,
+    conjugate_exponent,
+    distance_matrices,
+    distance_matrix,
     generate,
     knn_gaussian_graph,
     load_features,
+    matrix_op_pnorm,
     ratio_sweep,
+    ssl_solve,
+    weighted_p_norm,
 )
 from presistance.errors import (
     Disconnected,
@@ -291,6 +299,50 @@ def test_bench_grid_rejects_bad_p():
         with pytest.raises(InvalidP):
             bench_grid(labeled_blobs(), mu_grid=(mu,), sigma_grid=(1.0,),
                        p_grid=(p,), methods=("kmed_approx",), repetitions=1)
+
+
+def test_bench_grid_checks_every_cell_before_the_first(monkeypatch):
+    # a bad mu or sigma anywhere in the grids is an error, raised before
+    # any graph is built, not a cell recorded as failed
+    built = []
+    monkeypatch.setattr(pipeline, "knn_gaussian_graph",
+                        lambda ds, params: built.append(params))
+    for mu_grid, sigma_grid in (((1.0, 2.0), (1.0,)), ((1.0,), (1.0, -1.0))):
+        with pytest.raises(InvalidParams):
+            bench_grid(labeled_blobs(), mu_grid=mu_grid, sigma_grid=sigma_grid,
+                       p_grid=(3.0,), methods=("kmed_approx",), repetitions=1)
+    assert built == []
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: conjugate_exponent(NAN),
+    lambda g: approximation_bound(g, NAN),
+    lambda g: PairQuery(0, 1, NAN),
+    lambda g: ssl_solve(g, NAN, 0, 3),
+    lambda g: distance_matrices(g, (3.0, NAN)),
+    lambda g: distance_matrix(g, NAN, mode="approx"),
+    lambda g: distance_matrix(g, NAN, mode="exact", workers=1),
+    lambda g: bench_grid(labeled_blobs(), mu_grid=(1.0,), sigma_grid=(1.0,),
+                         p_grid=(NAN,), methods=("kmed_approx",), repetitions=1),
+    lambda g: ratio_sweep(g, (NAN,), sample_pairs=2),
+    lambda g: matrix_op_pnorm(np.eye(3), NAN),
+    lambda g: weighted_p_norm(np.ones(3), np.ones(3), NAN),
+], ids=["conjugate_exponent", "approximation_bound", "PairQuery", "ssl_solve",
+        "distance_matrices", "distance_matrix_approx", "distance_matrix_exact",
+        "bench_grid", "ratio_sweep", "matrix_op_pnorm", "weighted_p_norm"])
+def test_nan_p_is_rejected(call):
+    with pytest.raises(InvalidP):
+        call(generate("cycle", n=6))
+
+
+def test_ratio_sweep_needs_a_pair_and_a_p():
+    g = generate("cycle", n=6)
+    for p_grid, pairs in (((3.0,), 0), ((), 2)):
+        with pytest.raises(InvalidParams):
+            ratio_sweep(g, p_grid, sample_pairs=pairs)
 
 
 def test_standardize():

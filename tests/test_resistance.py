@@ -59,6 +59,46 @@ def test_pair_query_validation():
         PairQuery(0, 1, 1.0)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (0, 9)])
+def test_approx_metric_rejects_pairs_outside_the_graph(i, j):
+    # (-1, 2) must not wrap around to pair (5, 2), nor (0, 9) raise a bare
+    # IndexError: both get the exact solver's pair check
+    g = generate("cycle", n=6)
+    pinv = laplacian_pinv(g)
+    with pytest.raises(DimensionMismatch):
+        approx_metric(pinv, g, PairQuery(i, j, 3.0))
+    with pytest.raises(DimensionMismatch):
+        ssl_solve(g, 3.0, i, j, pinv=pinv)
+
+
+def test_infinite_p_is_for_the_approximate_route_only():
+    g = generate("cycle", n=6)
+    with pytest.raises(InvalidP):
+        ssl_solve(g, np.inf, 0, 3)
+    pinv = laplacian_pinv(g)
+    metric = approx_metric(pinv, g, PairQuery(0, 3, np.inf))
+    assert np.isfinite(metric) and metric > 0.0
+    dm = distance_matrices(g, (np.inf,), pinv)[0]
+    assert dm.matrix[0, 3] == pytest.approx(metric, rel=1e-12)
+
+
+def test_stages_pinned():
+    # one (exponent, eps) list per p: the smoothing ladder below p = 2,
+    # whose fifth stage (~1e-10) stays in only by rounding, and the
+    # exponent ladder above p = 8; the floats are those of the repeated
+    # multiplications
+    assert resistance._stages(1.5) == [
+        (1.5, 0.01), (1.5, 0.0001), (1.5, 1.0000000000000002e-06),
+        (1.5, 1.0000000000000002e-08), (1.5, 1.0000000000000002e-10),
+        (1.5, 1e-12),
+    ]
+    assert resistance._stages(2.9) == [(2.9, 1e-12)]
+    assert resistance._stages(10.0) == [(8.0, 1e-12), (10.0, 1e-12)]
+    assert resistance._stages(100.0) == [
+        (8.0, 1e-12), (20.0, 1e-12), (50.0, 1e-12), (100.0, 1e-12),
+    ]
+
+
 def test_solver_config_validation():
     with pytest.raises(InvalidP):
         SolverConfig(grad_tol=0.0)
