@@ -146,14 +146,25 @@ def _abs_sum_norm(M, axis):
     return float(np.abs(M).sum(axis=axis).max())
 
 
+def _unit_columns(X, p):
+    """The columns of X with a nonzero finite p-norm, scaled to norm 1."""
+    norms = np.linalg.norm(X, ord=p, axis=0)
+    keep = (norms != 0) & np.isfinite(norms)
+    return X[:, keep] / norms[keep]
+
+
 def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
     """Estimate the operator p-norm of a dense matrix.
 
     For p in {1, inf} the exact max absolute column/row sum is returned.
-    Otherwise a dual-norm power iteration is run from the ones vector, from
-    `restarts` seeded random vectors, and from any `extra_starts`; the best
-    (largest) stationary value is returned. The result is always a lower
-    bound on the true norm.
+    Otherwise a dual-norm power iteration (Higham & Tisseur, SIMAX 2000)
+    runs from the ones vector, from `restarts` seeded random vectors and
+    from any `extra_starts`, all at once as the columns of one block. A
+    column leaves the block once its image is zero, its dual norm is
+    stationary or its next step is zero or non-finite, and after at most
+    `_POWER_ITERATIONS` steps; a zero start never enters. The value is the
+    largest image norm any column reached, always a lower bound on the true
+    norm, and `iterations` counts steps summed over the starts.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
@@ -166,41 +177,31 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
     q = conjugate_exponent(p)
     cols = M.shape[1]
     rng = np.random.default_rng(seed)
-    starts = [np.ones(cols)]
-    starts += [rng.standard_normal(cols) for _ in range(restarts)]
-    starts += [np.asarray(s, dtype=float) for s in extra_starts]
+    X = _unit_columns(np.column_stack([
+        np.ones(cols), *rng.standard_normal((restarts, cols)),
+        *(np.asarray(s, dtype=float) for s in extra_starts)]), p)
 
     best = 0.0
-    total_iters = 0
-    for x in starts:
-        nx = np.linalg.norm(x, ord=p)
-        if nx == 0 or not np.isfinite(nx):
-            continue
-        x = x / nx
-        gamma = 0.0
-        with np.errstate(over="ignore", under="ignore"):
-            for _ in range(_POWER_ITERATIONS):
-                total_iters += 1
-                y = M @ x
-                ny = np.linalg.norm(y, ord=p)
-                gamma = max(gamma, ny)
-                if ny == 0:
-                    break
-                # z is the gradient of ||Mx||_p at x; stationarity in the
-                # dual norm certifies a local maximum of the ratio
-                z = M.T @ _signed_power(y / ny, p - 1.0)
-                nz = np.linalg.norm(z, ord=q)
-                if nz <= z @ x * (1.0 + 1e-12) + 1e-15:
-                    break
-                xn = _signed_power(z, q - 1.0)
-                nxn = np.linalg.norm(xn, ord=p)
-                if nxn == 0 or not np.isfinite(nxn):
-                    # extreme conjugate exponents can underflow the dual
-                    # step; the current gamma is still a valid lower bound
-                    break
-                x = xn / nxn
-        best = max(best, float(gamma))
-    return PNormEstimate(value=best, iterations=total_iters, exact=False)
+    iterations = 0
+    with np.errstate(over="ignore", under="ignore"):
+        for _ in range(_POWER_ITERATIONS):
+            if not X.shape[1]:
+                break
+            iterations += X.shape[1]
+            Y = M @ X
+            ny = np.linalg.norm(Y, ord=p, axis=0)
+            best = max(best, float(ny.max()))
+            live = ny != 0
+            X, Y, ny = X[:, live], Y[:, live], ny[live]
+            # Z holds the gradients of ||Mx||_p at the columns x; stationarity
+            # in the dual norm certifies a local maximum of the ratio
+            Z = M.T @ _signed_power(Y / ny, p - 1.0)
+            nz = np.linalg.norm(Z, ord=q, axis=0)
+            live = ~(nz <= np.einsum("ij,ij->j", Z, X) * (1.0 + 1e-12) + 1e-15)
+            # extreme conjugate exponents can underflow the dual step; the
+            # image norms reached so far are still valid lower bounds
+            X = _unit_columns(_signed_power(Z[:, live], q - 1.0), p)
+    return PNormEstimate(value=best, iterations=iterations, exact=False)
 
 
 @dataclass(frozen=True)

@@ -291,6 +291,8 @@ def bench_grid(
     graph, degenerate kernel, singular shift) is recorded with the failure
     reason and the sweep continues; any other error propagates. The best
     configuration per method is chosen by mean error over the repetitions.
+    A sweep with no records (an empty grid, no cell, no repetition) raises
+    `InvalidParams`.
     """
     if ds.labels is None:
         raise InvalidParams("bench_grid needs a labeled dataset")
@@ -307,6 +309,10 @@ def bench_grid(
             raise InvalidParams(f"unknown method {method!r}")
     # (method, recorded p, p of the matrix it clusters; sc2 clusters the graph)
     cells = [(method, p, p or 2.0) for method in methods for p in method_ps[method]]
+    if not graphs or not cells or repetitions < 1:
+        raise InvalidParams(f"bench_grid needs a graph, a cell and a repetition, got "
+                            f"{len(graphs)} (mu, sigma) graphs, {len(cells)} "
+                            f"(method, p) cells and {repetitions} repetitions")
     # each distinct p once, all from one kernel pass per graph
     ps = sorted({at for method, _, at in cells if method != "sc2"})
     k = ds.n_classes

@@ -143,6 +143,26 @@ def test_ratio_without_rows_exits_2(tmp_path, extra, capsys):
     assert not out.exists()
 
 
+def test_bound_without_p_exits_2(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    assert run(["bound", "--generate", "cycle:n=6", "--p-grid", "",
+                "--out", out]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--mu-grid", ""], ["--sigma-grid", ""], ["--repetitions", "0"],
+    ["--methods", "kmed_approx", "--p-grid", ""],
+], ids=["no_mu", "no_sigma", "no_repetition", "no_cell"])
+def test_bench_without_records_exits_2(tmp_path, iris_csv, extra, capsys):
+    out_dir = tmp_path / "bench"
+    assert run(["bench", "--features", iris_csv, *extra,
+                "--out-dir", out_dir]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_unreadable_input_exits_2(tmp_path, capsys):
     # a directory as the features file: IsADirectoryError, an OSError
     assert run(["build-graph", "--features", tmp_path, "--mu", "1",

@@ -16,7 +16,7 @@ from presistance.errors import (
     InvalidP,
     NonFinite,
 )
-from presistance.numerics import conjugate_exponent, edge_projector
+from presistance.numerics import _POWER_ITERATIONS, conjugate_exponent, edge_projector
 
 from conftest import random_connected
 
@@ -141,6 +141,89 @@ def test_matrix_op_pnorm_triangle_projector_one_norm():
 def test_matrix_op_pnorm_rejects_nonfinite():
     with pytest.raises(NonFinite):
         matrix_op_pnorm(np.array([[np.nan, 0.0], [0.0, 1.0]]), 2.0)
+
+
+def _per_start_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
+    """Reference: the dual power iteration run one start after the other,
+    each to the same stopping rules as a column of the block estimator."""
+    q = conjugate_exponent(p)
+    rng = np.random.default_rng(seed)
+    starts = [np.ones(M.shape[1])]
+    starts += [rng.standard_normal(M.shape[1]) for _ in range(restarts)]
+    starts += [np.asarray(s, dtype=float) for s in extra_starts]
+    best, iterations = 0.0, 0
+    for x in starts:
+        nx = np.linalg.norm(x, ord=p)
+        if nx == 0 or not np.isfinite(nx):
+            continue
+        x = x / nx
+        with np.errstate(over="ignore", under="ignore"):
+            for _ in range(_POWER_ITERATIONS):
+                iterations += 1
+                y = M @ x
+                ny = np.linalg.norm(y, ord=p)
+                best = max(best, float(ny))
+                if ny == 0:
+                    break
+                z = M.T @ (np.sign(y) * np.abs(y / ny) ** (p - 1.0))
+                if np.linalg.norm(z, ord=q) <= z @ x * (1.0 + 1e-12) + 1e-15:
+                    break
+                xn = np.sign(z) * np.abs(z) ** (q - 1.0)
+                nxn = np.linalg.norm(xn, ord=p)
+                if nxn == 0 or not np.isfinite(nxn):
+                    break
+                x = xn / nxn
+    return best, iterations
+
+
+def _weighted_projector(g, p):
+    """The matrix `approximation_bound` estimates and its image start."""
+    scale = g.w ** (1.0 / p)
+    E = scale[:, None] * edge_projector(g) / scale[None, :]
+    x = np.zeros(g.n)
+    x[0], x[-1] = 1.0, -1.0
+    return E, scale * (x[g.ei] - x[g.ej])
+
+
+@pytest.mark.parametrize("p", [1.5, 2.9, 10.0])
+def test_block_estimate_matches_per_start_on_projectors(p):
+    for seed in range(6):
+        g = generate("gnp_connected", n=40, edge_prob=0.2, seed=seed)
+        E, image_start = _weighted_projector(g, p)
+        est = matrix_op_pnorm(E, p, restarts=5, seed=seed,
+                              extra_starts=(image_start,))
+        value, iterations = _per_start_op_pnorm(E, p, restarts=5, seed=seed,
+                                                extra_starts=(image_start,))
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert est.iterations == iterations
+        assert approximation_bound(g, p, seed=seed).value == est.value
+
+
+@pytest.mark.parametrize("p", [1.5, 2.9, 10.0])
+def test_block_estimate_matches_per_start_on_symmetric_matrices(p):
+    rng = np.random.default_rng(17)
+    for size in (2, 5, 12, 30):
+        M = rng.standard_normal((size, size))
+        S = M + M.T
+        est = matrix_op_pnorm(S, p, restarts=4, seed=size)
+        value, iterations = _per_start_op_pnorm(S, p, restarts=4, seed=size)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0)
+        assert est.iterations == iterations
+
+
+def test_block_estimate_skips_a_zero_start():
+    rng = np.random.default_rng(2)
+    M = rng.standard_normal((7, 7))
+    plain = matrix_op_pnorm(M, 3.0, restarts=2, seed=0)
+    with_zero = matrix_op_pnorm(M, 3.0, restarts=2, seed=0,
+                                extra_starts=(np.zeros(7),))
+    assert with_zero == plain
+    assert with_zero.iterations == _per_start_op_pnorm(M, 3.0, restarts=2)[1]
+
+
+def test_block_estimate_of_a_matrix_without_columns_is_zero():
+    est = matrix_op_pnorm(np.zeros((4, 0)), 2.5)
+    assert est.value == 0.0 and est.iterations == 0 and not est.exact
 
 
 def test_matrix_op_pnorm_monotone_in_restarts_and_capped():
