@@ -2,7 +2,8 @@
 
 For every pair, exact <= approx <= factor^p * exact, where the factor is
 the operator p-norm of the weighted edge projector. The factor is at least
-1, at most m^|1/2 - 1/p|, and at most 4 for complete graphs and cycles.
+1, at most (m w_max / w_min)^|1/2 - 1/p| (m^|1/2 - 1/p| on the unit-weight
+graphs below), and at most 4 for unit-weight complete graphs and cycles.
 """
 
 from presistance import (

@@ -206,15 +206,19 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
 
 @dataclass(frozen=True)
 class ApproximationBound:
-    """Operator p-norm of the weighted edge projector W^(1/p) C C+ W^(-1/p).
+    """Operator p-norm of the weighted edge projector W^(1/p) P W^(-1/p),
+    where P = C L+ C^T W is the p = 2 flow map of `edge_projector`.
 
     This factor governs how loose the pseudoinverse-based resistance
     approximation can get. `value` is a power-iteration estimate, a lower
     bound on the true factor. `worst_case` is the structure-free ceiling
-    m^|1/2 - 1/p|, and `one_norm_ceiling` the exactly computable
-    max(1-norm, inf-norm) bound; `ceiling`, the smaller of the two, is a
-    rigorous upper bound, so the exact value always lies within
-    [approx / ceiling^p, approx].
+    (m w_max / w_min)^|1/2 - 1/p|: the map is W^(1/p - 1/2) Q W^(1/2 - 1/p)
+    for the orthogonal projector Q = W^(1/2) C L+ C^T W^(1/2), whose p-norm
+    is at most m^|1/2 - 1/p|. `one_norm_ceiling` is the exactly computable
+    max(1-norm, inf-norm) bound. `ceiling`, the smaller of the two, is a
+    rigorous upper bound on weighted and unit-weight graphs alike, so the
+    exact value always lies within [approx / ceiling^p, approx]; on unit
+    weights P is C C+ and `worst_case` is m^|1/2 - 1/p|.
     """
 
     value: float
@@ -228,9 +232,14 @@ class ApproximationBound:
 
 
 def edge_projector(g):
-    """C C+, the orthogonal projector onto the image of the incidence matrix."""
+    """C L+ C^T W, the p = 2 flow map of `g`: it sends edge drops to the
+    drops of the potentials that fit them in the w-weighted least-squares
+    sense, an oblique projector onto the image of the incidence matrix C.
+    One solve with L + J/n gives it, since C J = 0. On unit weights it is
+    the orthogonal projector C C+.
+    """
     C = incidence(g)
-    return C @ np.linalg.pinv(C)
+    return (C @ np.linalg.solve(laplacian(g) + 1.0 / g.n, C.T)) * g.w
 
 
 def approximation_bound(g, p, seed=0):
@@ -251,7 +260,7 @@ def approximation_bound(g, p, seed=0):
                           extra_starts=(image_start,))
     return ApproximationBound(
         value=est.value,
-        worst_case=float(g.m ** abs(0.5 - 1.0 / p)),
+        worst_case=float((g.m * g.w.max() / g.w.min()) ** abs(0.5 - 1.0 / p)),
         one_norm_ceiling=max(_abs_sum_norm(E, 0), _abs_sum_norm(E, 1)),
         iterations=est.iterations,
     )

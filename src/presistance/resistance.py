@@ -12,8 +12,10 @@ the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
 for the approximate metric of one pair or of a block of pairs at every p
 asked for. `distance_matrices` builds the approximate all-pairs matrices of
 one graph for a whole p grid: it gathers the edge drops of each L+ column
-once (a vertex-by-edges array), walks the pairs of each row in cache-sized
-blocks, and takes one log per drop and one exp per drop and p;
+once (a vertex-by-edges array), takes the pairs that are edges through the
+symmetric kernel `_edge_pair_metrics`, which logs each (edge, edge) drop
+once for both of its edges, and the other pairs through `_approx_sums`, in
+cache-sized blocks, with one log per drop and one exp per drop and p;
 `distance_matrix` in approximate mode is its one-p call. Combinatorial
 oracles for the two limit regimes (minimum cut and hop distance) live here
 as well.
@@ -325,13 +327,28 @@ def _checked_pinv(pinv, g):
 # exp temporary stay in cache while every p of the grid passes over them
 _BLOCK_DROPS = 1 << 16
 
+# the symmetric kernel trusts an edge-pair sum of at least m times this:
+# each of its at most m terms that underflowed was below the smallest normal
+# float, so together they stay below eps of the sum
+_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+
+
+def _log(x):
+    """Natural log of the nonnegative `x`, in place: the one log the
+    approximate kernel takes of each drop it scales. A zero logs to -inf,
+    whose every multiple exponentiates to exactly 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(x, out=x)
+
 
 def _approx_sums(drops, w, qs):
     """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
     are the rows of `drops`, at each q of `qs`: entry [k, r] is the q-th
     power sum over edges of w |drop|^q of row r at q = qs[k], factored by
     the row's peak so that huge q stays in range and the result does not
-    depend on the scale of the drops.
+    depend on the scale of the drops. This is the row path: `approx_metric`
+    takes it for one pair, `distance_matrices` for the pairs that are not
+    edges and for the edge pairs its symmetric scale cannot hold.
 
     The peak-scaled drops are logged once and each q costs one exp and one
     matrix-vector product, cheaper than one `**` per q. A zero drop logs to
@@ -342,8 +359,7 @@ def _approx_sums(drops, w, qs):
     peak = scaled.max(axis=1)
     peak[peak == 0.0] = 1.0
     scaled /= peak[:, None]
-    with np.errstate(divide="ignore"):
-        logd = np.log(scaled, out=scaled)
+    logd = _log(scaled)
     sums = np.empty((len(qs), drops.shape[0]))
     power = np.empty_like(logd)
     for k, q in enumerate(qs):
@@ -357,6 +373,108 @@ def _approx_sums(drops, w, qs):
             total = power @ w
         sums[k] = peak**q * total
     return sums
+
+
+def _drop_rows(drops, a, b, start, out):
+    """out[r] = drops[a[r], start:] - drops[b[r], start:]. A run of rows
+    with one a and consecutive b is one subtract from a contiguous slab of
+    `drops`: the rows of a k-NN graph's pairs and edges come in such runs,
+    and a gather of scattered rows costs several times more."""
+    cuts = np.flatnonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1] + 1)) + 1
+    for s, e in zip([0, *cuts], [*cuts, a.size]):
+        np.subtract(drops[a[s], start:], drops[b[s] : b[s] + e - s, start:],
+                    out=out[s:e])
+    return out
+
+
+def _pair_sums(drops, w, qs, a, b):
+    """`_approx_sums` of the pairs (a[r], b[r]), whose edge drops are the
+    differences of rows a[r] and b[r] of `drops`, taken in blocks of about
+    `_BLOCK_DROPS` drops."""
+    m = drops.shape[1]
+    sums = np.empty((len(qs), a.size))
+    rows = max(1, _BLOCK_DROPS // m)
+    block = np.empty((min(rows, a.size), m))
+    for s in range(0, a.size, rows):
+        e = min(s + rows, a.size)
+        diff = _drop_rows(drops, a[s:e], b[s:e], 0, block[: e - s])
+        sums[:, s:e] = _approx_sums(diff, w, qs)
+    return sums
+
+
+def _edge_pair_metrics(drops, g, qs, root):
+    """Approximated metric of every edge pair (ej[f], ei[f]) at each q of
+    `qs`, and where it is exact to rounding.
+
+    The drops of the edge pairs over the edges, T[f, e] = drops[ei[f], e] -
+    drops[ej[f], e], form the symmetric matrix C L+ C^T, and `root` is the
+    square root of its diagonal, the p = 2 resistances R of the edges. By
+    Cauchy-Schwarz |T[f, e]| <= root[f] root[e], so the scaled drops
+    T[f, e] / (root[f] root[e]) are symmetric and lie in [-1, 1], and the
+    metric of f is root[f]^q times the sum over e of v[e] |scaled drop|^q,
+    with v = w root^q held as logs shifted by their largest. Each scaled drop
+    of the strict upper triangle is logged once and exponentiated once per
+    q, and it adds to the sums of both its row and its column; the diagonal,
+    where T[f, f] = R[f], adds v[f].
+
+    A strip of rows [s, t), about `_BLOCK_DROPS` entries of the upper
+    triangle and at least one row, takes the columns right of it as one
+    block, with one matrix-vector product into its rows and one into its
+    columns per q; the triangles left inside the strips' squares follow as
+    one gathered pass in chunks of `_BLOCK_DROPS`. An entry is not ok when
+    its metric is not finite and positive, or when its sum is below
+    m `_SUM_FLOOR`, where terms lost to underflow could show.
+    """
+    m = g.m
+    ei, ej = g.ei, g.ej
+    inv = 1.0 / root
+    qlog = np.multiply.outer(qs, np.log(root))
+    logv = np.log(g.w) + qlog
+    shift = logv.max(axis=1)
+    v = np.exp(logv - shift[:, None])
+    sums = v.copy()
+    bounds = [0]
+    while bounds[-1] < m:
+        s = bounds[-1]
+        bounds.append(min(m, s + max(1, _BLOCK_DROPS // (m - s))))
+    bounds = np.array(bounds)
+    flat = np.empty(2 * max(_BLOCK_DROPS, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s, t in zip(bounds[:-1], bounds[1:]):
+            if t == m:
+                break
+            size = (t - s) * (m - t)
+            blk = flat[:size].reshape(t - s, m - t)
+            pw = flat[size : 2 * size].reshape(t - s, m - t)
+            _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
+            np.abs(blk, out=blk)
+            blk *= inv[s:t, None]
+            blk *= inv[t:]
+            logd = _log(blk)
+            for k, q in enumerate(qs):
+                np.exp(np.multiply(logd, q, out=pw), out=pw)
+                sums[k, s:t] += pw @ v[k, t:]
+                sums[k, t:] += v[k, s:t] @ pw
+        # (f, h) with f < h < the end of f's strip, walked in row order
+        count = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(m) - 1
+        tri_f = np.repeat(np.arange(m), count)
+        first = np.repeat(np.cumsum(count) - count, count)
+        tri_h = tri_f + 1 + np.arange(tri_f.size) - first
+        for c in range(0, tri_f.size, _BLOCK_DROPS):
+            f = tri_f[c : c + _BLOCK_DROPS]
+            h = tri_h[c : c + _BLOCK_DROPS]
+            x = np.abs(drops[ei[f], h] - drops[ej[f], h])
+            x *= inv[f]
+            x *= inv[h]
+            logd = _log(x)
+            for k, q in enumerate(qs):
+                pw = np.exp(logd * q)
+                sums[k] += np.bincount(f, pw * v[k, h], minlength=m)
+                sums[k] += np.bincount(h, pw * v[k, f], minlength=m)
+        with np.errstate(divide="ignore"):
+            metric = np.exp(np.log(sums) + qlog + shift[:, None])
+    ok = (sums >= m * _SUM_FLOOR) & np.isfinite(metric) & (metric > 0.0)
+    return metric, ok
 
 
 def _approx_form(metric, p, form):
@@ -440,9 +558,14 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
     is None, else checked).
 
     At p = 2 the matrix takes its closed form. The other p share one pass
-    over the pairs: the edge drops of every L+ column are gathered once,
-    the pairs of each row are taken in blocks of about `_BLOCK_DROPS`
-    drops, and `_approx_sums` evaluates each block at every p.
+    over the pairs, from the edge drops of every L+ column gathered once.
+    The pairs that are edges take the symmetric kernel
+    `_edge_pair_metrics`, which scales the drops by the edges' p = 2
+    resistances and so logs each (edge, edge) drop once instead of twice;
+    its entries that underflow or overflow there, and the pairs that are
+    not edges, take the row path `_approx_sums`, which scales each pair's
+    drops by their peak. Both walk blocks of about `_BLOCK_DROPS` drops and
+    take one log per drop and one exp per drop and p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -456,14 +579,21 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
         # subtracted in place, so only one more array of this size is made
         drops = np.take(Lp.T, g.ei, axis=1)
         drops -= np.take(Lp.T, g.ej, axis=1)
-        rows = max(1, _BLOCK_DROPS // g.m)
-        block = np.empty((min(rows, n - 1), g.m))
-        for i in range(n - 1):
-            for s in range(i + 1, n, rows):
-                e = min(s + rows, n)
-                buf = block[: e - s]
-                np.subtract(drops[i], drops[s:e], out=buf)
-                upper[:, i, s:e] = _approx_sums(buf, g.w, qs)
+        # the p = 2 resistance of each edge, read off these drops; should
+        # rounding leave one at or below 0, every pair takes the row path
+        edges = np.arange(g.m)
+        resist = drops[g.ei, edges] - drops[g.ej, edges]
+        rest = np.ones((n, n), dtype=bool)
+        if np.all(resist > 0.0):
+            metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist))
+            redo = ~ok.all(axis=0)
+            if redo.any():
+                again = _pair_sums(drops, g.w, qs, g.ei[redo], g.ej[redo])
+                metric[:, redo] = np.where(ok[:, redo], metric[:, redo], again)
+            upper[:, g.ej, g.ei] = metric
+            rest[g.ej, g.ei] = False
+        a, b = np.nonzero(np.triu(rest, 1))
+        upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b)
     out = []
     k = 0
     for p in ps:

@@ -56,6 +56,24 @@ def tree_series_presistance(g, i, j, p):
     return acc ** (p - 1.0)
 
 
+def cycle_parallel_presistance(g, i, j, p):
+    """Independent oracle on a cycle: the unit flow splits over the two arcs
+    between i and j, each a series of edges with the p-series sum
+    A = sum of w^(-1/(p-1)), and the arcs combine in parallel as
+    r = 1 / (A1^(1-p) + A2^(1-p)); at p = 2 this is the parallel law of
+    resistors."""
+    adj = neighbors(g)
+    arcs = []
+    for first in adj[i]:
+        prev, (u, w) = i, first
+        acc = w ** (-1.0 / (p - 1.0))
+        while u != j:
+            prev, (u, w) = u, next(e for e in adj[u] if e[0] != prev)
+            acc += w ** (-1.0 / (p - 1.0))
+        arcs.append(acc)
+    return 1.0 / sum(a ** (1.0 - p) for a in arcs)
+
+
 def brute_force_mincut(g, s, t):
     """Enumerate all 2^(n-2) vertex bipartitions; only for tiny graphs."""
     others = [v for v in range(g.n) if v not in (s, t)]

@@ -9,6 +9,7 @@ from presistance import (
     laplacian,
     laplacian_pinv,
     matrix_op_pnorm,
+    ratio_sweep,
     weighted_p_norm,
 )
 from presistance.errors import (
@@ -16,9 +17,10 @@ from presistance.errors import (
     InvalidP,
     NonFinite,
 )
+from presistance.graph import incidence
 from presistance.numerics import _POWER_ITERATIONS, conjugate_exponent, edge_projector
 
-from conftest import random_connected
+from conftest import cycle_parallel_presistance, random_connected
 
 
 def test_weighted_p_norm_values():
@@ -291,3 +293,65 @@ def test_cycle_projector_one_norm_true_identity():
 def test_approximation_bound_requires_p_above_one():
     with pytest.raises(InvalidP):
         approximation_bound(generate("path", n=4), 1.0)
+
+
+def _light_cycle(n, light=0.01):
+    """The n-cycle with unit weights but one edge of weight `light`."""
+    edges = [(v + 1, v, 1.0) for v in range(n - 1)] + [(n - 1, 0, 1.0)]
+    edges[0] = (1, 0, light)
+    return build_graph(n, edges)
+
+
+def _uniform_weights(g, seed):
+    """`g` with weights drawn from U(0.01, 1)."""
+    rng = np.random.default_rng(seed)
+    return build_graph(g.n, [(a, b, float(rng.uniform(0.01, 1.0)))
+                             for a, b, _ in g.edges])
+
+
+WEIGHTED = {
+    "cycle6": _light_cycle(6),
+    "cycle10": _light_cycle(10),
+    "gnp15": _uniform_weights(generate("gnp_connected", n=15, edge_prob=0.3,
+                                       seed=4), seed=3),
+}
+BOUND_PS = (1.1, 1.5, 2.0, 3.0, 10.0)
+
+
+def test_edge_projector_is_the_weighted_flow_map():
+    g = generate("gnp_connected", n=40, edge_prob=0.2, seed=0)
+    C = incidence(g)
+    assert np.allclose(edge_projector(g), C @ np.linalg.pinv(C), rtol=0,
+                       atol=1e-14)
+    # weighted: an oblique projector that fixes the drops of every potential
+    g = WEIGHTED["gnp15"]
+    C = incidence(g)
+    P = edge_projector(g)
+    assert np.allclose(P @ C, C, rtol=0, atol=1e-12)
+    assert np.allclose(P @ P, P, rtol=0, atol=1e-12)
+    assert not np.allclose(P, P.T)
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTED))
+def test_bound_estimate_below_rigorous_ceiling_on_weighted_graphs(name):
+    # the estimate is a lower value of the factor the ceiling bounds from
+    # above; 1e-12 leaves room for rounding at p = 2, where the ceiling is
+    # exactly 1 and the estimate can read up to about 1 + 1.3e-15
+    g = WEIGHTED[name]
+    for p in BOUND_PS:
+        b = approximation_bound(g, p)
+        assert 1 - 1e-9 <= b.value <= b.ceiling * (1 + 1e-12), p
+
+
+@pytest.mark.parametrize("p", BOUND_PS)
+def test_weighted_cycle_ratio_sweep_against_parallel_oracle(p):
+    g = WEIGHTED["cycle6"]
+    rows = ratio_sweep(g, (p,), sample_pairs=15)
+    assert len(rows) == 15
+    for r in rows:
+        want = cycle_parallel_presistance(g, r["i"], r["j"], p) ** (1.0 / (p - 1.0))
+        assert r["exact_metric"] == pytest.approx(want, rel=1e-6)
+        assert r["ratio"] <= r["bound_pow_q"] * (1 + 1e-12)
+    # on this cycle the estimate is tight: the worst pair reaches it
+    worst = max(r["ratio"] for r in rows)
+    assert worst == pytest.approx(rows[0]["bound_est_pow_q"], rel=1e-9)

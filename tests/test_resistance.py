@@ -34,6 +34,7 @@ from presistance.errors import (
     InvalidP,
     SingularShift,
 )
+from presistance.numerics import conjugate_exponent
 from presistance.resistance import (
     _approx_sums,
     _edge_kernel,
@@ -607,27 +608,52 @@ def test_approx_paths_negated_under_fault():
 KERNEL_PS = (1.1, 1.4, 2.0, 2.9, 10.0, 100.0, 1000.0)
 
 
-def _assert_matrices_match_pinv_reference(g, pairs):
+def _assert_matrices_match_pinv_reference(g, pairs, ps=KERNEL_PS, tol=1e-13):
     # the metric of each pair straight from its definition on numpy's pinv,
-    # sum over edges of w |y_a - y_b|^q with y = L+ (e_i - e_j): no peak
-    # scaling, no log/exp, no blocks
+    # sum over edges of w |y_a - y_b|^q with y = L+ (e_i - e_j): no scaling,
+    # no log/exp, no blocks
     Lp = np.linalg.pinv(laplacian(g))
     a, b = np.array(pairs).T
     Y = Lp[:, a] - Lp[:, b]
     drops = np.abs(Y[g.ei] - Y[g.ej])
-    for p, dm in zip(KERNEL_PS, distance_matrices(g, KERNEL_PS)):
+    for p, dm in zip(ps, distance_matrices(g, ps)):
         assert dm.p == p and dm.mode == "approx" and dm.form == "metric"
-        want = g.w @ drops ** (p / (p - 1.0))
+        want = g.w @ drops ** conjugate_exponent(p)
         got = dm.matrix[a, b]
-        assert np.all(np.abs(got - want) <= 1e-13 * want), p
+        assert np.all(np.abs(got - want) <= tol * want), p
         assert np.array_equal(dm.matrix, dm.matrix.T)
+
+
+def _every_pair(g):
+    return [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
+
+
+def _assert_every_pair_matches_pinv_reference(g):
+    # edge pairs take the symmetric kernel, the others the row path
+    _assert_matrices_match_pinv_reference(g, _every_pair(g), KERNEL_PS + (np.inf,))
+    _assert_matrices_match_pinv_reference(g, _every_pair(g), (1.01,), tol=1e-12)
 
 
 def test_distance_matrices_match_pinv_reference_random_graphs():
     for seed in range(4):
         g = random_connected(9, 900 + seed)
-        pairs = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)]
-        _assert_matrices_match_pinv_reference(g, pairs)
+        assert 0 < g.m < g.n * (g.n - 1) // 2
+        _assert_every_pair_matches_pinv_reference(g)
+
+
+@pytest.mark.parametrize("block", [None, 200])
+def test_distance_matrices_match_pinv_reference_complete_graphs(block, monkeypatch):
+    # every pair is an edge. K_12 has 66 edges: the default block takes them
+    # as one strip, all in the triangle pass; 200 drops make strips of 3 to
+    # 66 rows with a block right of each
+    if block:
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
+    g = generate("complete", n=12)
+    _assert_every_pair_matches_pinv_reference(g)
+    rng = np.random.default_rng(12)
+    weighted = build_graph(g.n, [(a, b, float(rng.uniform(0.1, 1.0)))
+                                 for a, b, _ in g.edges])
+    _assert_every_pair_matches_pinv_reference(weighted)
 
 
 def test_distance_matrices_match_pinv_reference_iris(iris_csv):
@@ -657,6 +683,58 @@ def test_distance_matrices_independent_of_block_size(iris_csv, monkeypatch):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", drops)
         for want, dm in zip(base, distance_matrices(g, KERNEL_PS, pinv)):
             assert np.all(np.abs(dm.matrix - want) <= 1e-13 * want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("sigma", [1.0, 10.0])
+def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
+    # p = 1.001 is q = 1001: on half of iris at mu = 1 the symmetric scale
+    # underflows or overflows on nearly every edge pair, which then takes the
+    # row path. The reference scales each pair's drops by their peak, as the
+    # row path does; where it is finite and positive the kernel must agree
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
+    g = knn_gaussian_graph(half, GraphBuildParams(mu=1.0, sigma=sigma))
+    assert g.m == g.n * (g.n - 1) // 2
+    p, q = 1.001, conjugate_exponent(1.001)
+    pinv = laplacian_pinv(g)
+    got = distance_matrices(g, (p,), pinv)[0].matrix
+    assert not np.isnan(got).any()
+    Lp = pinv.matrix
+    want = np.zeros_like(got)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for i in range(g.n):
+            Y = Lp[:, [i]] - Lp
+            d = np.abs(Y[g.ei] - Y[g.ej])
+            peak = d.max(axis=0)
+            peak[i] = 1.0
+            want[i] = peak**q * (g.w @ (d / peak) ** q)
+    good = np.isfinite(want) & (want > 0.0)
+    assert good.sum() > 100
+    assert np.all(np.abs(got[good] - want[good]) <= 1e-12 * want[good])
+
+
+def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
+    # on a complete graph every pair is an edge: the kernel logs each
+    # (edge, edge) drop of the strict upper triangle once, m (m - 1) / 2
+    # logs however many p, where the row path logs all m^2
+    g = generate("complete", n=24)
+    m = g.m
+    logged = []
+    log = resistance._log
+
+    def counting_log(x):
+        logged.append(x.size)
+        return log(x)
+
+    monkeypatch.setattr(resistance, "_log", counting_log)
+    for block in (resistance._BLOCK_DROPS, 2000, 1):
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
+        for ps in ((3.0,), (1.5, 2.0, 3.0, 10.0)):
+            logged.clear()
+            distance_matrices(g, ps)
+            assert sum(logged) <= m * (m + 1) // 2, (block, ps)
+            assert sum(logged) == m * (m - 1) // 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
