@@ -8,7 +8,6 @@ of two pseudoinverse columns and reuses one pseudoinverse for every pair.
 import numpy as np
 
 from presistance import (
-    PairQuery,
     SolverConfig,
     approx_metric,
     approx_presistance,
@@ -23,19 +22,17 @@ print("== path 0-1-2, unit weights ==")
 g = generate("path", n=3)
 pinv = laplacian_pinv(g)
 for p in (1.5, 2.0, 3.0, 5.0):
-    q = PairQuery(0, 2, p)
-    exact, rep = exact_presistance(g, q, cfg)
-    approx = approx_presistance(pinv, g, q)
+    exact = exact_presistance(g, p, 0, 2, cfg)
+    approx = approx_presistance(g, p, 0, 2, pinv)
     print(f"p={p}: exact r = {exact:.6f} = 2^(p-1), approx = {approx:.6f}, "
-          f"metric r^(1/(p-1)) = {approx_metric(pinv, g, q):.6f}")
+          f"metric r^(1/(p-1)) = {approx_metric(g, p, 0, 2, pinv):.6f}")
 
 print("\n== triangle, all pairs equivalent ==")
 k3 = generate("complete", n=3)
 pinv = laplacian_pinv(k3)
-q = PairQuery(0, 1, 2.0)
-exact, _ = exact_presistance(k3, q, cfg)
+exact = exact_presistance(k3, 2.0, 0, 1, cfg)
 print(f"p=2: exact = {exact:.6f} (series-parallel oracle: 1 || 2 = 2/3), "
-      f"approx = {approx_presistance(pinv, k3, q):.6f}")
+      f"approx = {approx_presistance(k3, 2.0, 0, 1, pinv):.6f}")
 
 print("\n== trees: the approximation is exact ==")
 tree = generate("random_tree", n=20, seed=7, weight_range=(0.5, 2.0))
@@ -45,8 +42,7 @@ worst = 0.0
 for _ in range(10):
     i, j = map(int, rng.choice(20, size=2, replace=False))
     p = float(rng.choice([1.5, 3.0, 10.0]))
-    q = PairQuery(i, j, p)
-    exact, _ = exact_presistance(tree, q, cfg)
-    approx = approx_presistance(pinv, tree, q)
+    exact = exact_presistance(tree, p, i, j, cfg)
+    approx = approx_presistance(tree, p, i, j, pinv)
     worst = max(worst, abs(approx - exact) / exact)
 print(f"worst relative gap over 10 random pairs: {worst:.2e}")

@@ -7,7 +7,6 @@ graphs below), and at most 4 for unit-weight complete graphs and cycles.
 """
 
 from presistance import (
-    PairQuery,
     SolverConfig,
     approx_presistance,
     approximation_bound,
@@ -33,9 +32,8 @@ b = approximation_bound(g, 3.0)
 lo, hi = 10.0, 0.0
 for i in range(g.n):
     for j in range(i + 1, g.n):
-        q = PairQuery(i, j, 3.0)
-        exact, _ = exact_presistance(g, q, cfg)
-        ratio = approx_presistance(pinv, g, q) / exact
+        exact = exact_presistance(g, 3.0, i, j, cfg)
+        ratio = approx_presistance(g, 3.0, i, j, pinv) / exact
         lo, hi = min(lo, ratio), max(hi, ratio)
 print(f"approx/exact in [{lo:.4f}, {hi:.4f}]; "
       f"factor^p ceiling = {b.value ** 3:.4f} (estimate), "

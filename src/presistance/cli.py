@@ -99,6 +99,10 @@ def _load_graph(args):
                     raise errors.InvalidParams(
                         f"--generate parameter {part!r} is not key=number"
                     ) from None
+        if "seed" in params:
+            raise errors.InvalidParams(
+                "--generate takes no seed parameter; --seed sets it"
+            )
         return generate(family, seed=getattr(args, "seed", 0), **params)
     if getattr(args, "graph", None):
         return read_edge_list(args.graph)
@@ -245,7 +249,8 @@ def cmd_bound(args):
     with open(args.out, "w") as f:
         f.write(f"# config: {_run_config(args)}\n")
         f.write("\n".join(lines) + "\n")
-    print(f"bound: |CC+|_1={one_norm:.6f} over {len(lines) - 1} p values -> {args.out}")
+    print(f"bound: projector_one_norm={one_norm:.6f} over {len(lines) - 1} p values "
+          f"-> {args.out}")
     return 0
 
 

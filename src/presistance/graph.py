@@ -340,7 +340,12 @@ def generate(family, seed=None, **params):
         if n < 2:
             raise InvalidParams("random_tree requires n >= 2")
         edges = _prufer_tree(n, rng)
-        lo, hi = params.get("weight_range", (1.0, 1.0))
+        try:
+            lo, hi = params.get("weight_range", (1.0, 1.0))
+        except (TypeError, ValueError):
+            raise InvalidParams(
+                f"weight_range must be a (lo, hi) pair, got {params['weight_range']!r}"
+            ) from None
         if not (0 < lo <= hi):
             raise InvalidParams("weight_range must satisfy 0 < lo <= hi")
         edges = np.array(edges, dtype=float)

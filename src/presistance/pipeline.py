@@ -27,7 +27,6 @@ from .errors import (
 from .graph import build_graph
 from .numerics import approximation_bound, check_p, conjugate_exponent, laplacian_pinv
 from .resistance import (
-    PairQuery,
     SolverConfig,
     approx_metric,
     distance_matrices,
@@ -377,7 +376,7 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
         est_ceiling = max(bound.value, 1.0) ** q
         hard_ceiling = bound.ceiling ** q
         for i, j in pairs:
-            approx = approx_metric(pinv, g, PairQuery(i=i, j=j, p=p))
+            approx = approx_metric(g, p, i, j, pinv)
             report = ssl_solve(g, p, i, j, _RATIO_SOLVER, pinv=pinv)
             exact = (1.0 / report.energy) ** (1.0 / (p - 1.0))
             rows.append(

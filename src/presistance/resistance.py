@@ -15,10 +15,13 @@ one graph for a whole p grid: it gathers the edge drops of each L+ column
 once (a vertex-by-edges array), takes the pairs that are edges through the
 symmetric kernel `_edge_pair_metrics`, which logs each (edge, edge) drop
 once for both of its edges, and the other pairs through `_approx_sums`, in
-cache-sized blocks, with one log per drop and one exp per drop and p;
-`distance_matrix` in approximate mode is its one-p call. Combinatorial
-oracles for the two limit regimes (minimum cut and hop distance) live here
-as well.
+cache-sized blocks, with one log per drop and one exp per drop and p. An
+edge whose symmetric value underflows or overflows at any p of the grid
+takes the row path with the other pairs, at every p. `distance_matrix` in
+approximate mode is its one-p call. Every pair query takes the pair as
+`(g, p, i, j)`: `ssl_solve`, `exact_presistance`, `approx_metric` and
+`approx_presistance`. Combinatorial oracles for the two limit regimes
+(minimum cut and hop distance) live here as well.
 """
 
 import struct
@@ -40,18 +43,6 @@ from .numerics import (
 # approximated metric comes back negated, which must trip the invariant
 # suites. Never set outside `verify --inject-fault`.
 FAULT_FLIP_APPROX_SIGN = False
-
-
-@dataclass(frozen=True)
-class PairQuery:
-    i: int
-    j: int
-    p: float
-
-    def __post_init__(self):
-        if self.i == self.j:
-            raise DimensionMismatch("pair query needs two distinct vertices")
-        check_p(self.p)
 
 
 @dataclass(frozen=True)
@@ -295,14 +286,13 @@ def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     )
 
 
-def exact_presistance(g, query, cfg=None):
-    """Exact p-resistance of a pair: reciprocal of the minimal pinned energy.
-
-    Returns (value, report); a non-converged report still carries the
-    best-so-far value with `converged=False`.
+def exact_presistance(g, p, i, j, cfg=None):
+    """Exact p-resistance of the pair (i, j): the reciprocal of the minimal
+    pinned energy of `ssl_solve`. A solve that did not converge gives its
+    best-so-far value; a caller that needs its convergence record calls
+    `ssl_solve`.
     """
-    report = ssl_solve(g, query.p, query.i, query.j, cfg)
-    return 1.0 / report.energy, report
+    return 1.0 / ssl_solve(g, p, i, j, cfg).energy
 
 
 def _check_pair(g, i, j):
@@ -348,7 +338,7 @@ def _approx_sums(drops, w, qs):
     the row's peak so that huge q stays in range and the result does not
     depend on the scale of the drops. This is the row path: `approx_metric`
     takes it for one pair, `distance_matrices` for the pairs that are not
-    edges and for the edge pairs its symmetric scale cannot hold.
+    edges and for the edges whose symmetric value fails at some p.
 
     The peak-scaled drops are logged once and each q costs one exp and one
     matrix-vector product, cheaper than one `**` per q. A zero drop logs to
@@ -488,24 +478,27 @@ def _approx_form(metric, p, form):
     return _signed_power(metric, p - 1.0) if form == "resistance" else metric
 
 
-def approx_metric(pinv, g, query):
-    """Approximated p-resistance metric: the conjugate seminorm of the
-    pseudoinverse column difference, raised to the (small) power q.
+def approx_metric(g, p, i, j, pinv=None):
+    """Approximated p-resistance metric of the pair (i, j): the conjugate
+    seminorm of the pseudoinverse column difference L+ (e_i - e_j), raised
+    to the (small) power q. `pinv` is the graph's `LaplacianPinv`, computed
+    when left out.
 
     This is the r^(1/(p-1)) form used for clustering; it stays numerically
     robust even for very large p because only the q-th power is taken.
     """
-    _check_pair(g, query.i, query.j)
+    q = conjugate_exponent(p)
+    _check_pair(g, i, j)
     pinv = _checked_pinv(pinv, g)
-    y = pinv.matrix[:, query.i] - pinv.matrix[:, query.j]
+    y = pinv.matrix[:, i] - pinv.matrix[:, j]
     drops = (y[g.ei] - y[g.ej])[None, :]
-    metric = _approx_sums(drops, g.w, (conjugate_exponent(query.p),))[0, 0]
-    return float(_approx_form(metric, query.p, "metric"))
+    metric = _approx_sums(drops, g.w, (q,))[0, 0]
+    return float(_approx_form(metric, p, "metric"))
 
 
-def approx_presistance(pinv, g, query):
+def approx_presistance(g, p, i, j, pinv=None):
     """Approximated p-resistance: the metric form raised to the p - 1."""
-    return float(_signed_power(approx_metric(pinv, g, query), query.p - 1.0))
+    return float(_signed_power(approx_metric(g, p, i, j, pinv), p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -561,11 +554,12 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
     over the pairs, from the edge drops of every L+ column gathered once.
     The pairs that are edges take the symmetric kernel
     `_edge_pair_metrics`, which scales the drops by the edges' p = 2
-    resistances and so logs each (edge, edge) drop once instead of twice;
-    its entries that underflow or overflow there, and the pairs that are
-    not edges, take the row path `_approx_sums`, which scales each pair's
-    drops by their peak. Both walk blocks of about `_BLOCK_DROPS` drops and
-    take one log per drop and one exp per drop and p.
+    resistances and so logs each (edge, edge) drop once instead of twice.
+    The pairs that are not edges take the row path `_approx_sums`, which
+    scales each pair's drops by their peak, and so does, at every p, an
+    edge whose symmetric value underflows or overflows at any p. Both walk
+    blocks of about `_BLOCK_DROPS` drops and take one log per drop and one
+    exp per drop and p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -586,12 +580,10 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
         rest = np.ones((n, n), dtype=bool)
         if np.all(resist > 0.0):
             metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist))
-            redo = ~ok.all(axis=0)
-            if redo.any():
-                again = _pair_sums(drops, g.w, qs, g.ei[redo], g.ej[redo])
-                metric[:, redo] = np.where(ok[:, redo], metric[:, redo], again)
-            upper[:, g.ej, g.ei] = metric
-            rest[g.ej, g.ei] = False
+            # an edge whose symmetric entry fails at any p stays in `rest`
+            keep = ok.all(axis=0)
+            upper[:, g.ej[keep], g.ei[keep]] = metric[:, keep]
+            rest[g.ej[keep], g.ei[keep]] = False
         a, b = np.nonzero(np.triu(rest, 1))
         upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b)
     out = []

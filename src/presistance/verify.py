@@ -30,7 +30,6 @@ from .numerics import (
 )
 from .pipeline import ratio_sweep
 from .resistance import (
-    PairQuery,
     SolverConfig,
     _edge_kernel,
     _hessian,
@@ -182,13 +181,13 @@ def suite_tree_exactness(seed=0):
         g = generate("random_tree", n=n, seed=seed * 13 + t, weight_range=(0.5, 2.0))
         pinv = laplacian_pinv(g)
         for _ in range(8):
-            i, j = rng.choice(n, size=2, replace=False)
-            q = PairQuery(int(i), int(j), float(rng.choice([1.5, 2.0, 3.0, 10.0])))
-            exact, _ = exact_presistance(g, q, cfg)
-            approx = approx_presistance(pinv, g, q)
+            i, j = map(int, rng.choice(n, size=2, replace=False))
+            p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
+            exact = exact_presistance(g, p, i, j, cfg)
+            approx = approx_presistance(g, p, i, j, pinv)
             if abs(approx - exact) / exact > 1e-4:
                 fails.append(
-                    f"tree {t} pair ({q.i},{q.j}) p={q.p}: gap {abs(approx - exact) / exact:.2e}"
+                    f"tree {t} pair ({i},{j}) p={p}: gap {abs(approx - exact) / exact:.2e}"
                 )
     return fails
 
@@ -210,9 +209,8 @@ def suite_sandwich(seed=0):
                 fails.append(f"graph {c} p={p}: estimator outside [1, ceiling]")
             for i in range(n):
                 for j in range(i + 1, n):
-                    q = PairQuery(i, j, p)
-                    exact, _ = exact_presistance(g, q, cfg)
-                    approx = approx_presistance(pinv, g, q)
+                    exact = exact_presistance(g, p, i, j, cfg)
+                    approx = approx_presistance(g, p, i, j, pinv)
                     if approx < exact * (1 - 1e-6):
                         fails.append(f"graph {c} ({i},{j}) p={p}: approx below exact")
                     if approx > b.ceiling**p * exact * (1 + 1e-6):
@@ -370,11 +368,11 @@ def suite_limits(seed=0):
     cfg = SolverConfig(grad_tol=1e-10)
     for name, g, pairs in cases:
         for i, j in pairs:
-            r_small, _ = exact_presistance(g, PairQuery(i, j, 1.05), cfg)
+            r_small = exact_presistance(g, 1.05, i, j, cfg)
             target = 1.0 / mincut(g, i, j)
             if abs(r_small / target - 1.0) > 0.10:
                 fails.append(f"{name} ({i},{j}): p->1 limit off by {r_small / target:.3f}")
-            r_large, _ = exact_presistance(g, PairQuery(i, j, 50.0), cfg)
+            r_large = exact_presistance(g, 50.0, i, j, cfg)
             hop = shortest_path(g, i, j, weighted=False)
             metric = r_large ** (1.0 / 49.0)
             if abs(metric / hop - 1.0) > 0.10:
@@ -396,11 +394,10 @@ def suite_rayleigh_monotonicity(seed=0):
             continue
         add = missing[int(rng.integers(0, len(missing)))]
         g2 = build_graph(n, list(g.edges) + [(add[0], add[1], float(rng.uniform(0.5, 2.0)))])
-        i, j = rng.choice(n, size=2, replace=False)
+        i, j = map(int, rng.choice(n, size=2, replace=False))
         for p in (1.5, 2.0, 3.0):
-            q = PairQuery(int(i), int(j), p)
-            r1, _ = exact_presistance(g, q, cfg)
-            r2, _ = exact_presistance(g2, q, cfg)
+            r1 = exact_presistance(g, p, i, j, cfg)
+            r2 = exact_presistance(g2, p, i, j, cfg)
             if r2 > r1 * (1 + 1e-6):
                 fails.append(f"case {c} p={p}: resistance increased after adding an edge")
     return fails

@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from presistance import (
-    PairQuery,
     SolverConfig,
     approx_presistance,
     approximation_bound,
@@ -72,9 +71,8 @@ def test_criterion_01_tree_exactness():
         for _ in range(20):
             i, j = map(int, rng.choice(n, size=2, replace=False))
             p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
-            q = PairQuery(i, j, p)
-            exact, _ = exact_presistance(g, q, TIGHT)
-            approx = approx_presistance(pinv, g, q)
+            exact = exact_presistance(g, p, i, j, TIGHT)
+            approx = approx_presistance(g, p, i, j, pinv)
             gap = abs(approx - exact) / exact
             worst = max(worst, gap)
             pairs_checked += 1
@@ -107,9 +105,8 @@ def test_criterion_02_two_sided_bound():
             for i in range(n):
                 for j in range(i + 1, n):
                     total += 1
-                    q = PairQuery(i, j, p)
-                    exact, _ = exact_presistance(g, q, TIGHT)
-                    approx = approx_presistance(pinv, g, q)
+                    exact = exact_presistance(g, p, i, j, TIGHT)
+                    approx = approx_presistance(g, p, i, j, pinv)
                     ratio = approx / exact
                     worst_lower = min(worst_lower, ratio)
                     assert ratio >= 1 - 1e-6, f"approx below exact at p={p}"
@@ -142,7 +139,7 @@ def test_criterion_03_p2_reduction():
         for i in range(n):
             for j in range(i + 1, n):
                 classic = Lp[i, i] + Lp[j, j] - 2 * Lp[i, j]
-                approx = approx_presistance(pinv, g, PairQuery(i, j, 2.0))
+                approx = approx_presistance(g, 2.0, i, j, pinv)
                 worst = max(worst, abs(approx - classic))
     elapsed = time.time() - t0
     ok = worst <= 1e-10
@@ -227,11 +224,11 @@ def test_criterion_05_limit_oracles():
         g = make()
         assert g.n <= 15
         for i, j in pairs:
-            r, _ = exact_presistance(g, PairQuery(i, j, 1.05), TIGHT)
+            r = exact_presistance(g, 1.05, i, j, TIGHT)
             dev = abs(r * mincut(g, i, j) - 1.0)
             worst_small = max(worst_small, dev)
             assert dev <= 0.10, f"{name} ({i},{j}): p->1 off by {dev:.3f}"
-            r, _ = exact_presistance(g, PairQuery(i, j, 50.0), TIGHT)
+            r = exact_presistance(g, 50.0, i, j, TIGHT)
             hop = shortest_path(g, i, j, weighted=False)
             dev = abs(r ** (1 / 49.0) / hop - 1.0)
             worst_large = max(worst_large, dev)
@@ -360,13 +357,13 @@ def test_criterion_09_amortized_timing(iris_csv):
             pairs.append((i, j))
     t0 = time.perf_counter()
     for i, j in pairs:
-        approx_presistance(pinv, g, PairQuery(i, j, p))
+        approx_presistance(g, p, i, j, pinv)
     t_pairs = time.perf_counter() - t0
     amortized = (t_pinv + t_pairs) / len(pairs)
     t0 = time.perf_counter()
     n_exact = 4
     for i, j in pairs[:n_exact]:
-        exact_presistance(g, PairQuery(i, j, p))
+        exact_presistance(g, p, i, j)
     t_exact = (time.perf_counter() - t0) / n_exact
     speedup = t_exact / amortized
     ok = speedup >= 3.0

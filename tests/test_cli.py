@@ -375,7 +375,8 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_malformed_generate_spec_exit_2(tmp_path, capsys):
-    for spec in ("path:n", "path:n=abc", "path:=4", "gnp_connected:n=12,edge_pro=0.05"):
+    for spec in ("path:n", "path:n=abc", "path:=4", "gnp_connected:n=12,edge_pro=0.05",
+                 "gnp_connected:n=10,seed=3", "random_tree:n=10,weight_range=1"):
         assert run(["distances", "--generate", spec, "--p", "3",
                     "--out", tmp_path / "d.bin"]) == 2
         assert "InvalidParams" in capsys.readouterr().err

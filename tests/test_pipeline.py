@@ -7,7 +7,7 @@ import pytest
 from presistance import (
     FeatureDataset,
     GraphBuildParams,
-    PairQuery,
+    approx_metric,
     approximation_bound,
     bench_grid,
     conjugate_exponent,
@@ -320,7 +320,7 @@ NAN = float("nan")
 @pytest.mark.parametrize("call", [
     lambda g: conjugate_exponent(NAN),
     lambda g: approximation_bound(g, NAN),
-    lambda g: PairQuery(0, 1, NAN),
+    lambda g: approx_metric(g, NAN, 0, 1),
     lambda g: ssl_solve(g, NAN, 0, 3),
     lambda g: distance_matrices(g, (3.0, NAN)),
     lambda g: distance_matrix(g, NAN, mode="approx"),
@@ -330,7 +330,7 @@ NAN = float("nan")
     lambda g: ratio_sweep(g, (NAN,), sample_pairs=2),
     lambda g: matrix_op_pnorm(np.eye(3), NAN),
     lambda g: weighted_p_norm(np.ones(3), np.ones(3), NAN),
-], ids=["conjugate_exponent", "approximation_bound", "PairQuery", "ssl_solve",
+], ids=["conjugate_exponent", "approximation_bound", "approx_metric", "ssl_solve",
         "distance_matrices", "distance_matrix_approx", "distance_matrix_exact",
         "bench_grid", "ratio_sweep", "matrix_op_pnorm", "weighted_p_norm"])
 def test_nan_p_is_rejected(call):

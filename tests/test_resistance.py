@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from presistance import (
     FeatureDataset,
     Graph,
     GraphBuildParams,
-    PairQuery,
     SolverConfig,
     approx_metric,
     approx_presistance,
@@ -53,11 +54,19 @@ from conftest import (
 TIGHT = SolverConfig(grad_tol=1e-10)
 
 
-def test_pair_query_validation():
-    with pytest.raises(DimensionMismatch):
-        PairQuery(2, 2, 3.0)
-    with pytest.raises(InvalidP):
-        PairQuery(0, 1, 1.0)
+@pytest.mark.parametrize(
+    "query", [approx_metric, approx_presistance, exact_presistance, ssl_solve],
+    ids=lambda f: f.__name__,
+)
+def test_pair_queries_take_one_signature_and_check_it(query):
+    assert list(inspect.signature(query).parameters)[:4] == ["g", "p", "i", "j"]
+    g = generate("cycle", n=6)
+    for i, j in ((2, 2), (0, 9)):
+        with pytest.raises(DimensionMismatch):
+            query(g, 3.0, i, j)
+    for p in (1.0, float("nan")):
+        with pytest.raises(InvalidP):
+            query(g, p, 0, 1)
 
 
 @pytest.mark.parametrize("i, j", [(-1, 2), (0, 9)])
@@ -67,7 +76,7 @@ def test_approx_metric_rejects_pairs_outside_the_graph(i, j):
     g = generate("cycle", n=6)
     pinv = laplacian_pinv(g)
     with pytest.raises(DimensionMismatch):
-        approx_metric(pinv, g, PairQuery(i, j, 3.0))
+        approx_metric(g, 3.0, i, j, pinv)
     with pytest.raises(DimensionMismatch):
         ssl_solve(g, 3.0, i, j, pinv=pinv)
 
@@ -77,7 +86,7 @@ def test_infinite_p_is_for_the_approximate_route_only():
     with pytest.raises(InvalidP):
         ssl_solve(g, np.inf, 0, 3)
     pinv = laplacian_pinv(g)
-    metric = approx_metric(pinv, g, PairQuery(0, 3, np.inf))
+    metric = approx_metric(g, np.inf, 0, 3, pinv)
     assert np.isfinite(metric) and metric > 0.0
     dm = distance_matrices(g, (np.inf,), pinv)[0]
     assert dm.matrix[0, 3] == pytest.approx(metric, rel=1e-12)
@@ -109,24 +118,24 @@ def test_exact_single_edge_inverse_weight():
     for w in (0.5, 1.0, 2.0):
         g = build_graph(2, [(1, 0, w)])
         for p in (1.5, 2.0, 3.0):
-            r, rep = exact_presistance(g, PairQuery(0, 1, p), TIGHT)
+            r = exact_presistance(g, p, 0, 1, TIGHT)
             assert r == pytest.approx(1.0 / w)
-            assert rep.energy == pytest.approx(w)
+            assert ssl_solve(g, p, 0, 1, TIGHT).energy == pytest.approx(w)
 
 
 def test_exact_path_two_edges_closed_form():
     g = generate("path", n=3)
     for p in (1.5, 2.0, 3.0, 5.0):
-        r, _ = exact_presistance(g, PairQuery(0, 2, p), TIGHT)
+        r = exact_presistance(g, p, 0, 2, TIGHT)
         assert r == pytest.approx(2 ** (p - 1), rel=1e-8)
-    r, _ = exact_presistance(g, PairQuery(0, 2, 3.0), TIGHT)
+    r = exact_presistance(g, 3.0, 0, 2, TIGHT)
     assert r == pytest.approx(4.0, rel=1e-9)
 
 
 def test_exact_triangle_p2():
     g = generate("complete", n=3)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        r, _ = exact_presistance(g, PairQuery(i, j, 2.0), TIGHT)
+        r = exact_presistance(g, 2.0, i, j, TIGHT)
         assert r == pytest.approx(2 / 3, rel=1e-9)
 
 
@@ -138,7 +147,7 @@ def test_exact_matches_series_law_on_weighted_trees():
         for _ in range(3):
             i, j = map(int, rng.choice(n, size=2, replace=False))
             p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
-            r, _ = exact_presistance(g, PairQuery(i, j, p), TIGHT)
+            r = exact_presistance(g, p, i, j, TIGHT)
             assert r == pytest.approx(tree_series_presistance(g, i, j, p), rel=1e-6)
 
 
@@ -155,7 +164,7 @@ def test_newton_exact_on_trees_with_pendant_subtrees():
             i, j = map(int, rng.choice(n, size=2, replace=False))
             hops = shortest_path(g, i, j, weighted=False)
         for p in (1.05, 1.5, 3.0, 10.0, 50.0):
-            r, _ = exact_presistance(g, PairQuery(i, j, p), TIGHT)
+            r = exact_presistance(g, p, i, j, TIGHT)
             assert r == pytest.approx(tree_series_presistance(g, i, j, p),
                                       rel=1e-9)
             checked += 1
@@ -263,9 +272,8 @@ def test_approx_equals_exact_on_trees():
         for _ in range(3):
             i, j = map(int, rng.choice(n, size=2, replace=False))
             p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
-            q = PairQuery(i, j, p)
-            exact, _ = exact_presistance(g, q, TIGHT)
-            assert approx_presistance(pinv, g, q) == pytest.approx(exact, rel=1e-6)
+            exact = exact_presistance(g, p, i, j, TIGHT)
+            assert approx_presistance(g, p, i, j, pinv) == pytest.approx(exact, rel=1e-6)
 
 
 def test_approx_p2_reduces_to_pinv_formula():
@@ -276,26 +284,24 @@ def test_approx_p2_reduces_to_pinv_formula():
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 expected = Lp[i, i] + Lp[j, j] - 2 * Lp[i, j]
-                got = approx_presistance(pinv, g, PairQuery(i, j, 2.0))
+                got = approx_presistance(g, 2.0, i, j, pinv)
                 assert got == pytest.approx(expected, abs=1e-10, rel=1e-10)
 
 
 def test_approx_triangle_p2():
     g = generate("complete", n=3)
     pinv = laplacian_pinv(g)
-    assert approx_presistance(pinv, g, PairQuery(0, 1, 2.0)) == pytest.approx(2 / 3)
+    assert approx_presistance(g, 2.0, 0, 1, pinv) == pytest.approx(2 / 3)
 
 
 def test_approx_metric_forms():
     g = generate("path", n=3)
     pinv = laplacian_pinv(g)
-    q = PairQuery(0, 2, 2.0)
-    assert approx_metric(pinv, g, q) == pytest.approx(
-        approx_presistance(pinv, g, q)
+    assert approx_metric(g, 2.0, 0, 2, pinv) == pytest.approx(
+        approx_presistance(g, 2.0, 0, 2, pinv)
     )
     # tree path of length 2 at p=3: resistance 4, metric 4^(1/2) = 2
-    q3 = PairQuery(0, 2, 3.0)
-    assert approx_metric(pinv, g, q3) == pytest.approx(2.0)
+    assert approx_metric(g, 3.0, 0, 2, pinv) == pytest.approx(2.0)
     # identical endpoints give a zero metric at the kernel level
     ei, ej, w = g.ei, g.ej, g.w
     y = pinv.matrix[:, 1] - pinv.matrix[:, 1]
@@ -307,14 +313,14 @@ def test_approx_rejects_mismatched_pinv():
     other = generate("cycle", n=4)
     pinv = laplacian_pinv(other)
     with pytest.raises(FingerprintMismatch):
-        approx_presistance(pinv, g, PairQuery(0, 1, 2.0))
+        approx_presistance(g, 2.0, 0, 1, pinv)
 
 
 def test_approx_metric_robust_at_huge_p():
     g = random_connected(12, 77)
     pinv = laplacian_pinv(g)
     for p in (100.0, 1000.0):
-        v = approx_metric(pinv, g, PairQuery(0, 11, p))
+        v = approx_metric(g, p, 0, 11, pinv)
         assert np.isfinite(v) and v > 0
 
 
@@ -567,7 +573,7 @@ def _assert_approx_paths_agree(g, pairs, ps, negated=False):
             tol = 1e-13 if form == "metric" else (1 + 1e-13) ** (p - 1.0) - 1
             for i, j in pairs:
                 for a, b in ((i, j), (j, i)):
-                    got = one_pair(pinv, g, PairQuery(a, b, p))
+                    got = one_pair(g, p, a, b, pinv)
                     want = M[a, b]
                     assert sign * want > 0
                     if np.isinf(want):
@@ -785,8 +791,8 @@ def test_rayleigh_monotonicity():
         i, j = missing[0]
         g2 = build_graph(7, list(g.edges) + [(i, j, 1.0)])
         for p in (1.5, 3.0):
-            a, _ = exact_presistance(g, PairQuery(0, 6, p), TIGHT)
-            b, _ = exact_presistance(g2, PairQuery(0, 6, p), TIGHT)
+            a = exact_presistance(g, p, 0, 6, TIGHT)
+            b = exact_presistance(g2, p, 0, 6, TIGHT)
             assert b <= a * (1 + 1e-6)
 
 
@@ -813,7 +819,7 @@ def test_approx_against_independent_stack():
             y = Lp_nx[:, i] - Lp_nx[:, j]
             acc = sum(w * abs(y[a] - y[b]) ** q for a, b, w in g.edges)
             expected = acc ** (p / q)
-            got = approx_presistance(pinv, g, PairQuery(i, j, p))
+            got = approx_presistance(g, p, i, j, pinv)
             assert got == pytest.approx(expected, rel=1e-9)
 
 
@@ -912,8 +918,8 @@ def test_limits_on_structured_graphs():
         (generate("star", n=6), 1, 2),
     ]
     for g, i, j in cases:
-        r, _ = exact_presistance(g, PairQuery(i, j, 1.05), TIGHT)
+        r = exact_presistance(g, 1.05, i, j, TIGHT)
         assert abs(r * mincut(g, i, j) - 1) <= 0.10
-        r, _ = exact_presistance(g, PairQuery(i, j, 50.0), TIGHT)
+        r = exact_presistance(g, 50.0, i, j, TIGHT)
         hop = shortest_path(g, i, j, weighted=False)
         assert abs(r ** (1 / 49.0) / hop - 1) <= 0.10
