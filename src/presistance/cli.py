@@ -43,6 +43,7 @@ from .pipeline import (
 )
 from .resistance import (
     SolverConfig,
+    available_cores,
     distance_matrix,
     export_distance_csv,
     load_distance_matrix,
@@ -62,7 +63,7 @@ def _resolve_workers(workers):
             raise errors.InvalidParams(
                 f"PRESISTANCE_WORKERS must be an integer, got {env!r}"
             ) from None
-    return os.cpu_count() or 1
+    return available_cores()
 
 
 def _run_config(args):
@@ -220,7 +221,6 @@ def cmd_bench(args):
         f.write(result.timing_csv())
     summary = {
         "config": json.loads(_run_config(args)),
-        "dataset": result.dataset,
         "best": result.best,
     }
     with open(os.path.join(args.out_dir, "summary.json"), "w") as f:
@@ -365,8 +365,9 @@ def build_parser():
     pd.add_argument("--grad-tol", type=float, default=1e-8)
     pd.add_argument("--seed", type=int, default=0)
     pd.add_argument("--workers", type=int, default=None,
-                    help="exact-mode processes (default: PRESISTANCE_WORKERS, "
-                    "else the CPU count)")
+                    help="cores to use: approx-mode threads, exact-mode "
+                    "processes (default: PRESISTANCE_WORKERS, else the cores "
+                    "available)")
     pd.set_defaults(func=cmd_distances)
 
     pc = sub.add_parser("cluster", help="cluster a persisted distance matrix")

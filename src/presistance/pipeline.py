@@ -204,7 +204,6 @@ class BenchResult:
     deterministic.
     """
 
-    dataset: str
     records: tuple
 
     def config_means(self):
@@ -341,7 +340,7 @@ def bench_grid(
                         failed=failed,
                     )
                 )
-    return BenchResult(dataset=ds.name, records=tuple(records))
+    return BenchResult(records=tuple(records))
 
 
 _RATIO_SOLVER = SolverConfig(grad_tol=1e-10)

@@ -17,14 +17,21 @@ symmetric kernel `_edge_pair_metrics`, which logs each (edge, edge) drop
 once for both of its edges, and the other pairs through `_approx_sums`, in
 cache-sized blocks, with one log per drop and one exp per drop and p. An
 edge whose symmetric value underflows or overflows at any p of the grid
-takes the row path with the other pairs, at every p. `distance_matrix` in
-approximate mode is its one-p call. Every pair query takes the pair as
-`(g, p, i, j)`: `ssl_solve`, `exact_presistance`, `approx_metric` and
-`approx_presistance`. Combinatorial oracles for the two limit regimes
-(minimum cut and hop distance) live here as well.
+takes the row path with the other pairs, at every p. Both paths run their
+blocks on a thread pool, and the matrices have the same bytes for any
+thread count. `distance_matrix` in approximate mode is its one-p call.
+Every pair query takes the pair as `(g, p, i, j)`: `ssl_solve`,
+`exact_presistance`, `approx_metric` and `approx_presistance`.
+Combinatorial oracles for the two limit regimes (minimum cut and hop
+distance) live here as well.
 """
 
+import contextvars
+import os
 import struct
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,6 +329,40 @@ _BLOCK_DROPS = 1 << 16
 # float, so together they stay below eps of the sum
 _SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
+# exp of a log above this is inf, and of a log below the other 0; one unit
+# of margin on each side absorbs rounding in the logs and in the sums
+_LOG_HUGE = np.log(np.finfo(float).max) + 1.0
+_LOG_NIL = np.log(np.finfo(float).smallest_subnormal) - 1.0
+
+
+def available_cores():
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the CPU count. A `workers` of None means
+    this many, in the approximate kernel and in the CLI."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn, items, workers):
+    """fn(item) for each of `items`, yielded in item order. With more than
+    one worker and more than one item the calls run on a pool of `workers`
+    threads made for this call, each in a copy of the caller's context (so
+    under its numpy error state), with at most 2 * workers submitted and not
+    yet taken: results of finished items do not pile up."""
+    if workers <= 1 or len(items) <= 1:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for item in items:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(contextvars.copy_context().run, fn, item))
+        while pending:
+            yield pending.popleft().result()
+
 
 def _log(x):
     """Natural log of the nonnegative `x`, in place: the one log the
@@ -377,22 +418,36 @@ def _drop_rows(drops, a, b, start, out):
     return out
 
 
-def _pair_sums(drops, w, qs, a, b):
+def _pair_sums(drops, w, qs, a, b, workers=1):
     """`_approx_sums` of the pairs (a[r], b[r]), whose edge drops are the
     differences of rows a[r] and b[r] of `drops`, taken in blocks of about
-    `_BLOCK_DROPS` drops."""
+    `_BLOCK_DROPS` drops. The blocks write disjoint columns of the result,
+    so runs of them go to `workers` threads in any order."""
     m = drops.shape[1]
     sums = np.empty((len(qs), a.size))
     rows = max(1, _BLOCK_DROPS // m)
-    block = np.empty((min(rows, a.size), m))
-    for s in range(0, a.size, rows):
-        e = min(s + rows, a.size)
-        diff = _drop_rows(drops, a[s:e], b[s:e], 0, block[: e - s])
-        sums[:, s:e] = _approx_sums(diff, w, qs)
+    starts = range(0, a.size, rows)
+    local = threading.local()
+
+    def fill(run):
+        # the columns of each block of the run
+        if not hasattr(local, "block"):
+            local.block = np.empty((min(rows, a.size), m))
+        for s in run:
+            e = min(s + rows, a.size)
+            diff = _drop_rows(drops, a[s:e], b[s:e], 0, local.block[: e - s])
+            sums[:, s:e] = _approx_sums(diff, w, qs)
+
+    # a few runs per worker: a task per block spends a share of its time in
+    # hand-offs between the threads
+    per_run = max(1, -(-len(starts) // (4 * workers)))
+    runs = [starts[c : c + per_run] for c in range(0, len(starts), per_run)]
+    for _ in _ordered_map(fill, runs, workers):
+        pass
     return sums
 
 
-def _edge_pair_metrics(drops, g, qs, root):
+def _edge_pair_metrics(drops, g, qs, root, workers=1):
     """Approximated metric of every edge pair (ej[f], ei[f]) at each q of
     `qs`, and where it is exact to rounding.
 
@@ -410,10 +465,21 @@ def _edge_pair_metrics(drops, g, qs, root):
     A strip of rows [s, t), about `_BLOCK_DROPS` entries of the upper
     triangle and at least one row, takes the columns right of it as one
     block, with one matrix-vector product into its rows and one into its
-    columns per q; the triangles left inside the strips' squares follow as
-    one gathered pass in chunks of `_BLOCK_DROPS`. An entry is not ok when
-    its metric is not finite and positive, or when its sum is below
-    m `_SUM_FLOOR`, where terms lost to underflow could show.
+    columns per q. Runs of strips go to `workers` threads, and this thread
+    adds their products into the sums in strip order, so the sums do not
+    depend on the thread count. The triangles left inside the strips'
+    squares follow as one gathered pass in chunks of `_BLOCK_DROPS`. An
+    entry is not ok when its metric is not finite and positive, or when
+    its sum is below m `_SUM_FLOOR`, where terms lost to underflow could
+    show.
+
+    The sum of f is at least its diagonal term v[f] and, its scaled drops
+    being at most 1, at most m, so the metric lies between w[f] R[f]^q and
+    m root[f]^q e^shift. Where that range lies above the float range the
+    metric overflows (or its sum is below the floor), and where it lies
+    below, the metric is 0. When at some q this holds for every edge, no
+    edge can be ok at every q: the pass is skipped and every entry comes
+    back not ok, so every edge takes the row path, as after the pass.
     """
     m = g.m
     ei, ej = g.ei, g.ej
@@ -421,6 +487,10 @@ def _edge_pair_metrics(drops, g, qs, root):
     qlog = np.multiply.outer(qs, np.log(root))
     logv = np.log(g.w) + qlog
     shift = logv.max(axis=1)
+    lowest = logv + qlog
+    highest = qlog + (shift + np.log(m))[:, None]
+    if np.any(np.all((lowest > _LOG_HUGE) | (highest < _LOG_NIL), axis=1)):
+        return np.empty((len(qs), m)), np.zeros((len(qs), m), dtype=bool)
     v = np.exp(logv - shift[:, None])
     sums = v.copy()
     bounds = [0]
@@ -428,23 +498,44 @@ def _edge_pair_metrics(drops, g, qs, root):
         s = bounds[-1]
         bounds.append(min(m, s + max(1, _BLOCK_DROPS // (m - s))))
     bounds = np.array(bounds)
-    flat = np.empty(2 * max(_BLOCK_DROPS, m))
+    local = threading.local()
+
+    def products(run):
+        # the row and column products of each strip [s, t) of the run, at
+        # each q
+        if not hasattr(local, "flat"):
+            local.flat = np.empty(2 * max(_BLOCK_DROPS, m))
+        out = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, t in run:
+                size = (t - s) * (m - t)
+                blk = local.flat[:size].reshape(t - s, m - t)
+                pw = local.flat[size : 2 * size].reshape(t - s, m - t)
+                _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
+                np.abs(blk, out=blk)
+                blk *= inv[s:t, None]
+                blk *= inv[t:]
+                logd = _log(blk)
+                strip = []
+                for k, q in enumerate(qs):
+                    np.exp(np.multiply(logd, q, out=pw), out=pw)
+                    strip.append((pw @ v[k, t:], v[k, s:t] @ pw))
+                out.append(strip)
+        return out
+
+    # the last strip reaches column m and has no block right of it. A task
+    # takes strips for at least two (strip, q) products: at one q, a task
+    # per strip cost 8% more kernel time in hand-offs on iris, and each
+    # more strip per task holds one more column product per q in flight
+    strips = [(s, t) for s, t in zip(bounds[:-1], bounds[1:]) if t < m]
+    per_run = -(-2 // len(qs))
+    runs = [strips[c : c + per_run] for c in range(0, len(strips), per_run)]
+    for run, out in zip(runs, _ordered_map(products, runs, workers)):
+        for (s, t), strip in zip(run, out):
+            for k, (row, col) in enumerate(strip):
+                sums[k, s:t] += row
+                sums[k, t:] += col
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, t in zip(bounds[:-1], bounds[1:]):
-            if t == m:
-                break
-            size = (t - s) * (m - t)
-            blk = flat[:size].reshape(t - s, m - t)
-            pw = flat[size : 2 * size].reshape(t - s, m - t)
-            _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
-            np.abs(blk, out=blk)
-            blk *= inv[s:t, None]
-            blk *= inv[t:]
-            logd = _log(blk)
-            for k, q in enumerate(qs):
-                np.exp(np.multiply(logd, q, out=pw), out=pw)
-                sums[k, s:t] += pw @ v[k, t:]
-                sums[k, t:] += v[k, s:t] @ pw
         # (f, h) with f < h < the end of f's strip, walked in row order
         count = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(m) - 1
         tri_f = np.repeat(np.arange(m), count)
@@ -545,10 +636,12 @@ def _check_form(form):
         raise InvalidP(f"unknown form {form!r}")
 
 
-def distance_matrices(g, ps, pinv=None, form="metric"):
+def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     """Approximate all-pairs matrices of `g`, one `DistanceMatrix` per p of
     `ps`, in that order, all from one pseudoinverse (computed when `pinv`
-    is None, else checked).
+    is None, else checked), on `workers` threads (None: the cores
+    available to the process). The matrices have the same bytes for any
+    thread count.
 
     At p = 2 the matrix takes its closed form. The other p share one pass
     over the pairs, from the edge drops of every L+ column gathered once.
@@ -564,6 +657,7 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
     pinv = _checked_pinv(pinv, g)
+    workers = available_cores() if workers is None else max(1, workers)
     Lp = pinv.matrix
     n = g.n
     qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
@@ -579,13 +673,14 @@ def distance_matrices(g, ps, pinv=None, form="metric"):
         resist = drops[g.ei, edges] - drops[g.ej, edges]
         rest = np.ones((n, n), dtype=bool)
         if np.all(resist > 0.0):
-            metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist))
+            metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist),
+                                            workers)
             # an edge whose symmetric entry fails at any p stays in `rest`
             keep = ok.all(axis=0)
             upper[:, g.ej[keep], g.ei[keep]] = metric[:, keep]
             rest[g.ej[keep], g.ei[keep]] = False
         a, b = np.nonzero(np.triu(rest, 1))
-        upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b)
+        upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
     out = []
     k = 0
     for p in ps:
@@ -619,13 +714,15 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     and reuse it for every pair: approx mode is the one-p call of
     `distance_matrices`; exact mode starts each pair's solver run from it,
     records pairs that fail to converge in `warnings` and keeps their
-    best-so-far values. Exact-mode rows may be solved by a pool of `workers`
-    processes; the result is identical for any worker count.
+    best-so-far values. `workers` bounds the cores used (None: the cores
+    available): approx mode runs its kernel on that many threads, exact mode
+    solves its rows on that many processes. The result is identical for
+    any worker count.
     """
     if mode not in ("approx", "exact"):
         raise InvalidP(f"unknown mode {mode!r}")
     if mode == "approx":
-        return distance_matrices(g, (p,), pinv, form)[0]
+        return distance_matrices(g, (p,), pinv, form, workers)[0]
     p = check_p(p)
     _check_form(form)
     n = g.n
@@ -634,6 +731,8 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     pinv = _checked_pinv(pinv, g)
     cfg = cfg or SolverConfig()
     tasks = [(g, p, form, cfg, pinv, i) for i in range(n - 1)]
+    if workers is None:
+        workers = available_cores()
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

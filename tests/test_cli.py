@@ -9,6 +9,7 @@ from presistance import (
     load_distance_matrix,
     load_features,
 )
+from presistance import resistance
 from presistance.cli import main
 from presistance.graph import read_edge_list, write_edge_list
 
@@ -181,12 +182,15 @@ def test_distances_reproducible_bytes(tmp_path):
     assert out.read_bytes() == first
 
 
-def test_distances_bytes_independent_of_workers(tmp_path):
+def test_distances_bytes_independent_of_workers(tmp_path, monkeypatch):
+    # small blocks put the edge pairs in many strips and the other pairs in
+    # many row blocks, which 2 workers run on 2 threads
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
     out = tmp_path / "d.bin"
     outs = []
     for workers in ("1", "2"):
-        assert run(["distances", "--generate", "path:n=6", "--p", "3",
-                    "--workers", workers, "--out", out]) == 0
+        assert run(["distances", "--generate", "gnp_connected:n=20,edge_prob=0.4",
+                    "--p", "3", "--workers", workers, "--out", out]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert "workers" not in load_distance_matrix(out).meta
@@ -456,8 +460,12 @@ def test_artifact_bytes_independent_of_input_directory(tmp_path, blob_csv):
                     "--out", d / "d.bin"]) == 0
         assert run(["cluster", "--distances", d / "d.bin", "--k", "2",
                     "--labels", labels, "--out", d / "c.json"]) == 0
+        assert run(["bench", "--features", features, "--mu-grid", "1.0",
+                    "--sigma-grid", "0.5", "--p-grid", "3.0", "--repetitions", "1",
+                    "--out-dir", d / "bench"]) == 0
         outputs.append([(d / f).read_bytes()
-                        for f in ("g.edges", "d.bin", "c.json")])
+                        for f in ("g.edges", "d.bin", "c.json",
+                                  "bench/results.csv", "bench/summary.json")])
     assert outputs[0] == outputs[1]
     doc = json.loads(outputs[0][2])
     assert doc["error_rate"] == 0.0

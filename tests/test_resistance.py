@@ -1,4 +1,6 @@
 import inspect
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -718,6 +720,136 @@ def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
     good = np.isfinite(want) & (want > 0.0)
     assert good.sum() > 100
     assert np.all(np.abs(got[good] - want[good]) <= 1e-12 * want[good])
+
+
+def _half_iris(iris_csv, mu, sigma):
+    # every other iris row; a sparse graph keeps its largest component
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
+    return knn_gaussian_graph(half, GraphBuildParams(
+        mu=mu, sigma=sigma, on_disconnect="largest_component"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["complete", "weighted", "knn", "half_iris"])
+def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
+                                                         monkeypatch):
+    # small blocks give many strips and many row blocks. The strips' row
+    # and column products are added in strip order on the calling thread
+    # and the row blocks write disjoint columns, so every matrix has the
+    # same bytes at any thread count
+    if case in ("complete", "weighted"):
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
+        g = generate("complete", n=12)
+        if case == "weighted":
+            rng = np.random.default_rng(12)
+            g = build_graph(g.n, [(a, b, float(rng.uniform(0.1, 1.0)))
+                                  for a, b, _ in g.edges])
+        ps = KERNEL_PS
+    elif case == "knn":
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", 2000)
+        g = _half_iris(iris_csv, 0.1, 1.0)
+        assert g.m < g.n * (g.n - 1) // 4
+        ps = KERNEL_PS
+    else:
+        # at q = 1001 nearly every edge pair fails its symmetric check and
+        # takes the row path; at p = 1.1 and 2.9 they pass
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", 20000)
+        g = _half_iris(iris_csv, 1.0, 1.0)
+        ps = (1.001, 1.1, 2.9)
+    pinv = laplacian_pinv(g)
+    base = [dm.matrix for dm in distance_matrices(g, ps, pinv, workers=1)]
+    for workers in (2, 3):
+        for want, dm in zip(base, distance_matrices(g, ps, pinv, workers=workers)):
+            assert dm.matrix.tobytes() == want.tobytes(), (case, workers, dm.p)
+
+
+def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
+    # with more than one worker the strips are logged on pool threads, and
+    # only the triangle pass on the calling thread
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
+    g = generate("complete", n=12)
+    threads = []
+    log = resistance._log
+
+    def recording_log(x):
+        threads.append(threading.get_ident())
+        return log(x)
+
+    monkeypatch.setattr(resistance, "_log", recording_log)
+    distance_matrices(g, (3.0,), workers=2)
+    assert len(set(threads) - {threading.get_ident()}) >= 1
+    threads.clear()
+    distance_matrices(g, (3.0,), workers=1)
+    assert set(threads) == {threading.get_ident()}
+
+
+def test_distance_matrices_threads_under_stress(monkeypatch):
+    # more threads than cores, switching every microsecond: a lost or
+    # misplaced row or column product would change the bytes
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 50)
+    g = random_connected(24, 77)
+    pinv = laplacian_pinv(g)
+    base = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv, workers=1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv, workers=8)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in base]
+
+
+def test_distance_matrices_threads_keep_the_callers_error_state(iris_csv):
+    # at q = 1001 the row path's peak^q overflows on half of iris at
+    # sigma = 10: under the caller's errstate that raises on every thread
+    g = _half_iris(iris_csv, 1.0, 10.0)
+    pinv = laplacian_pinv(g)
+    for workers in (1, 2):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            distance_matrices(g, (1.001,), pinv, workers=workers)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("sigma", [0.01, 10.0])
+def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
+                                                       monkeypatch):
+    # half of iris at mu = 1 and p = 1.001, q = 1001. At sigma = 0.01 every
+    # edge's symmetric metric lies below the smallest float, so the pass
+    # takes no log and every edge takes the row path, where the pass would
+    # have sent it. At sigma = 10 the metric of 292 edges could still be in
+    # range, but their sums fall below the floor: the pass has to run, and
+    # it rejects every edge. Skipped or not, the entries are the same
+    g = _half_iris(iris_csv, 1.0, sigma)
+    pinv = laplacian_pinv(g)
+    ps = (1.001, 1.1, 2.9)
+    qs = tuple(conjugate_exponent(p) for p in ps)
+    drops = np.take(pinv.matrix.T, g.ei, axis=1) - np.take(pinv.matrix.T, g.ej, axis=1)
+    edges = np.arange(g.m)
+    root = np.sqrt(drops[g.ei, edges] - drops[g.ej, edges])
+    got = [dm.matrix for dm in distance_matrices(g, ps, pinv)]
+    logged = []
+    log = resistance._log
+
+    def counting_log(x):
+        logged.append(x.size)
+        return log(x)
+
+    monkeypatch.setattr(resistance, "_log", counting_log)
+    _, ok = resistance._edge_pair_metrics(drops, g, qs, root)
+    if sigma == 0.01:
+        assert not logged and not ok.any()
+    else:
+        assert logged and not ok[0].any() and ok[1:].all()
+    # without the pre-test the pass runs, and rejects every edge at q = 1001
+    monkeypatch.setattr(resistance, "_LOG_HUGE", np.inf)
+    monkeypatch.setattr(resistance, "_LOG_NIL", -np.inf)
+    logged.clear()
+    _, ok = resistance._edge_pair_metrics(drops, g, qs, root)
+    assert logged and not ok[0].any() and ok[1:].all()
+    monkeypatch.setattr(resistance, "_log", log)
+    for want, dm in zip(got, distance_matrices(g, ps, pinv)):
+        assert dm.matrix.tobytes() == want.tobytes()
 
 
 def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
