@@ -242,7 +242,7 @@ def cmd_bound(args):
     one_norm = matrix_op_pnorm(proj, 1).value
     lines = ["p,alpha_estimate,worst_case,one_norm_ceiling,projector_one_norm"]
     for p in ps:
-        b = approximation_bound(g, p, seed=args.seed)
+        b = approximation_bound(g, p, seed=args.seed, projector=proj)
         lines.append(
             f"{p!r},{b.value!r},{b.worst_case!r},{b.one_norm_ceiling!r},{one_norm!r}"
         )

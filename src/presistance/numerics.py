@@ -146,11 +146,16 @@ def _abs_sum_norm(M, axis):
     return float(np.abs(M).sum(axis=axis).max())
 
 
-def _unit_columns(X, p):
-    """The columns of X with a nonzero finite p-norm, scaled to norm 1."""
-    norms = np.linalg.norm(X, ord=p, axis=0)
+# the dot product of each row of one matrix with the same row of another;
+# numpy before 2.0 has no vecdot
+_row_dots = getattr(np, "vecdot", lambda a, b: np.einsum("ij,ij->i", a, b))
+
+
+def _unit_rows(X, p):
+    """The rows of X with a nonzero finite p-norm, scaled to norm 1."""
+    norms = np.linalg.norm(X, ord=p, axis=1)
     keep = (norms != 0) & np.isfinite(norms)
-    return X[:, keep] / norms[keep]
+    return X[keep] / norms[keep, None]
 
 
 def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
@@ -159,11 +164,11 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
     For p in {1, inf} the exact max absolute column/row sum is returned.
     Otherwise a dual-norm power iteration (Higham & Tisseur, SIMAX 2000)
     runs from the ones vector, from `restarts` seeded random vectors and
-    from any `extra_starts`, all at once as the columns of one block. A
-    column leaves the block once its image is zero, its dual norm is
-    stationary or its next step is zero or non-finite, and after at most
+    from any `extra_starts`, all at once as the rows of one block. A row
+    leaves the block once its image is zero, its dual norm is stationary
+    or its next step is zero or non-finite, and after at most
     `_POWER_ITERATIONS` steps; a zero start never enters. The value is the
-    largest image norm any column reached, always a lower bound on the true
+    largest image norm any row reached, always a lower bound on the true
     norm, and `iterations` counts steps summed over the starts.
     """
     M = np.asarray(M, dtype=float)
@@ -177,30 +182,44 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
     q = conjugate_exponent(p)
     cols = M.shape[1]
     rng = np.random.default_rng(seed)
-    X = _unit_columns(np.column_stack([
-        np.ones(cols), *rng.standard_normal((restarts, cols)),
+    X = _unit_rows(np.vstack([
+        np.ones(cols), rng.standard_normal((restarts, cols)),
         *(np.asarray(s, dtype=float) for s in extra_starts)]), p)
 
-    best = 0.0
+    # each step takes two elementwise powers, A^(p-1) of the image A = |Mx|
+    # and B^(q-1) of the gradient B = |Z|, and reads every norm off them;
+    # the block is indexed only on a step where some row stops
+    norms = []
     iterations = 0
     with np.errstate(over="ignore", under="ignore"):
         for _ in range(_POWER_ITERATIONS):
-            if not X.shape[1]:
+            if not X.shape[0]:
                 break
-            iterations += X.shape[1]
-            Y = M @ X
-            ny = np.linalg.norm(Y, ord=p, axis=0)
-            best = max(best, float(ny.max()))
-            live = ny != 0
-            X, Y, ny = X[:, live], Y[:, live], ny[live]
-            # Z holds the gradients of ||Mx||_p at the columns x; stationarity
+            iterations += X.shape[0]
+            Y = X @ M.T
+            A = np.abs(Y)
+            P1 = A ** (p - 1.0)
+            ny = _row_dots(P1, A) ** (1.0 / p)
+            norms.append(ny)
+            if np.count_nonzero(ny) < ny.size:
+                live = ny != 0
+                X, Y, P1, ny = X[live], Y[live], P1[live], ny[live]
+            # Z holds the gradients of ||Mx||_p at the rows x; stationarity
             # in the dual norm certifies a local maximum of the ratio
-            Z = M.T @ _signed_power(Y / ny, p - 1.0)
-            nz = np.linalg.norm(Z, ord=q, axis=0)
-            live = ~(nz <= np.einsum("ij,ij->j", Z, X) * (1.0 + 1e-12) + 1e-15)
-            # extreme conjugate exponents can underflow the dual step; the
-            # image norms reached so far are still valid lower bounds
-            X = _unit_columns(_signed_power(Z[:, live], q - 1.0), p)
+            Z = (np.copysign(P1, Y) / ny[:, None] ** (p - 1.0)) @ M
+            B = np.abs(Z)
+            Q1 = B ** (q - 1.0)
+            zq = _row_dots(Q1, B)
+            # the next step sign(Z) B^(q-1) has p-norm zq^(1/p), as
+            # (q - 1) p = q. Extreme conjugate exponents can underflow it;
+            # the image norms reached so far are still valid lower bounds
+            nx = zq ** (1.0 / p)
+            live = ~(zq ** (1.0 / q) <= _row_dots(Z, X) * (1.0 + 1e-12) + 1e-15)
+            live &= (nx != 0) & np.isfinite(nx)
+            if np.count_nonzero(live) < live.size:
+                Q1, Z, nx = Q1[live], Z[live], nx[live]
+            X = np.copysign(Q1, Z) / nx[:, None]
+    best = float(np.concatenate(norms).max()) if norms else 0.0
     return PNormEstimate(value=best, iterations=iterations, exact=False)
 
 
@@ -211,14 +230,16 @@ class ApproximationBound:
 
     This factor governs how loose the pseudoinverse-based resistance
     approximation can get. `value` is a power-iteration estimate, a lower
-    bound on the true factor. `worst_case` is the structure-free ceiling
-    (m w_max / w_min)^|1/2 - 1/p|: the map is W^(1/p - 1/2) Q W^(1/2 - 1/p)
-    for the orthogonal projector Q = W^(1/2) C L+ C^T W^(1/2), whose p-norm
-    is at most m^|1/2 - 1/p|. `one_norm_ceiling` is the exactly computable
-    max(1-norm, inf-norm) bound. `ceiling`, the smaller of the two, is a
-    rigorous upper bound on weighted and unit-weight graphs alike, so the
-    exact value always lies within [approx / ceiling^p, approx]; on unit
-    weights P is C C+ and `worst_case` is m^|1/2 - 1/p|.
+    bound on the true factor, clamped to `ceiling` so that rounding cannot
+    lift it above (at p = 2 both are 1). `worst_case` is the
+    structure-free ceiling (m w_max / w_min)^|1/2 - 1/p|: the map is
+    W^(1/p - 1/2) Q W^(1/2 - 1/p) for the orthogonal projector
+    Q = W^(1/2) C L+ C^T W^(1/2), whose p-norm is at most m^|1/2 - 1/p|.
+    `one_norm_ceiling` is the exactly computable max(1-norm, inf-norm)
+    bound. `ceiling`, the smaller of the two, is a rigorous upper bound on
+    weighted and unit-weight graphs alike, so the exact value always lies
+    within [approx / ceiling^p, approx]; on unit weights P is C C+ and
+    `worst_case` is m^|1/2 - 1/p|.
     """
 
     value: float
@@ -242,25 +263,34 @@ def edge_projector(g):
     return (C @ np.linalg.solve(laplacian(g) + 1.0 / g.n, C.T)) * g.w
 
 
-def approximation_bound(g, p, seed=0):
+def approximation_bound(g, p, seed=0, projector=None):
     """Estimate the approximation bound factor for a graph at exponent p.
 
-    The estimate is a lower bound on the true factor but at least 1 up to
-    floating-point noise: a vector from the projector's image (where the map
-    acts as the identity) is always among the starting vectors.
+    `projector` is the graph's `edge_projector`, computed when left out; a
+    sweep over p passes one in, as it does not depend on p. The estimate is
+    a lower bound on the true factor but at least 1 up to floating-point
+    noise: a vector from the projector's image (where the map acts as the
+    identity) is always among the starting vectors.
     """
     p = check_p(p)
+    if projector is None:
+        projector = edge_projector(g)
+    elif np.shape(projector) != (g.m, g.m):
+        raise DimensionMismatch(f"projector has shape {np.shape(projector)}, "
+                                f"expected ({g.m}, {g.m})")
     scale = g.w ** (1.0 / p)
-    E = (scale[:, None] * edge_projector(g)) / scale[None, :]
+    E = (scale[:, None] * projector) / scale[None, :]
     # the drops C (e_0 - e_{n-1}), scaled: in the image of E
     x = np.zeros(g.n)
     x[0], x[-1] = 1.0, -1.0
     image_start = scale * (x[g.ei] - x[g.ej])
     est = matrix_op_pnorm(E, p, restarts=_BOUND_RESTARTS, seed=seed,
                           extra_starts=(image_start,))
+    worst_case = float((g.m * g.w.max() / g.w.min()) ** abs(0.5 - 1.0 / p))
+    one_norm_ceiling = max(_abs_sum_norm(E, 0), _abs_sum_norm(E, 1))
     return ApproximationBound(
-        value=est.value,
-        worst_case=float((g.m * g.w.max() / g.w.min()) ** abs(0.5 - 1.0 / p)),
-        one_norm_ceiling=max(_abs_sum_norm(E, 0), _abs_sum_norm(E, 1)),
+        value=min(est.value, one_norm_ceiling, worst_case),
+        worst_case=worst_case,
+        one_norm_ceiling=one_norm_ceiling,
         iterations=est.iterations,
     )

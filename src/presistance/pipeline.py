@@ -25,10 +25,16 @@ from .errors import (
     RaggedRows,
 )
 from .graph import build_graph
-from .numerics import approximation_bound, check_p, conjugate_exponent, laplacian_pinv
+from .numerics import (
+    approximation_bound,
+    check_p,
+    conjugate_exponent,
+    edge_projector,
+    laplacian_pinv,
+)
 from .resistance import (
     SolverConfig,
-    approx_metric,
+    approx_metrics,
     distance_matrices,
     ssl_solve,
 )
@@ -366,16 +372,19 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
             pairs.add((max(int(i), int(j)), min(int(i), int(j))))
     pairs = sorted(pairs)
     pinv = laplacian_pinv(g)
+    # the flow map does not depend on p, and the approximate metrics of
+    # every (p, pair) come from one pass over the pairs' drops
+    projector = edge_projector(g)
+    metrics = approx_metrics(g, p_grid, pairs, pinv)
     rows = []
-    for p in p_grid:
+    for p, metrics_at_p in zip(p_grid, metrics):
         q = conjugate_exponent(p)
-        bound = approximation_bound(g, p, seed=seed)
+        bound = approximation_bound(g, p, seed=seed, projector=projector)
         # the estimator is a lower estimate of the true factor; the emitted
         # hard ceiling is the rigorous one
         est_ceiling = max(bound.value, 1.0) ** q
         hard_ceiling = bound.ceiling ** q
-        for i, j in pairs:
-            approx = approx_metric(g, p, i, j, pinv)
+        for (i, j), approx in zip(pairs, metrics_at_p.tolist()):
             report = ssl_solve(g, p, i, j, _RATIO_SOLVER, pinv=pinv)
             exact = (1.0 / report.energy) ** (1.0 / (p - 1.0))
             rows.append(

@@ -263,7 +263,9 @@ def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     pinv = _checked_pinv(pinv, g)
 
     edges = ei, ej, w = g.ei, g.ej, g.w
-    free = np.setdiff1d(np.arange(g.n), [i, j])
+    pinned = np.zeros(g.n, dtype=bool)
+    pinned[[i, j]] = True
+    free = np.flatnonzero(~pinned)
     layout = _hessian_layout(ei, ej, free, g.n)
     y = pinv.matrix[:, i] - pinv.matrix[:, j]
     x = (y - y[j]) / (y[i] - y[j])
@@ -377,9 +379,10 @@ def _approx_sums(drops, w, qs):
     are the rows of `drops`, at each q of `qs`: entry [k, r] is the q-th
     power sum over edges of w |drop|^q of row r at q = qs[k], factored by
     the row's peak so that huge q stays in range and the result does not
-    depend on the scale of the drops. This is the row path: `approx_metric`
-    takes it for one pair, `distance_matrices` for the pairs that are not
-    edges and for the edges whose symmetric value fails at some p.
+    depend on the scale of the drops. This is the row path:
+    `approx_metrics` takes it for sampled pairs, `distance_matrices` for the
+    pairs that are not edges and for the edges whose symmetric value fails
+    at some p.
 
     The peak-scaled drops are logged once and each q costs one exp and one
     matrix-vector product, cheaper than one `**` per q. A zero drop logs to
@@ -578,13 +581,25 @@ def approx_metric(g, p, i, j, pinv=None):
     This is the r^(1/(p-1)) form used for clustering; it stays numerically
     robust even for very large p because only the q-th power is taken.
     """
-    q = conjugate_exponent(p)
-    _check_pair(g, i, j)
+    return float(approx_metrics(g, (p,), ((i, j),), pinv)[0, 0])
+
+
+def approx_metrics(g, ps, pairs, pinv=None):
+    """`approx_metric` of every pair (i, j) of `pairs` at every p of `ps`:
+    entry [k, r] is the metric of pairs[r] at ps[k]. One pass of the row
+    path over the pairs' stacked drops takes them all; a sweep of a few
+    sampled pairs over a p grid costs one call instead of one per value.
+    """
+    qs = tuple(conjugate_exponent(p) for p in ps)
+    pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    for i, j in pairs:
+        _check_pair(g, i, j)
     pinv = _checked_pinv(pinv, g)
-    y = pinv.matrix[:, i] - pinv.matrix[:, j]
-    drops = (y[g.ei] - y[g.ej])[None, :]
-    metric = _approx_sums(drops, g.w, (q,))[0, 0]
-    return float(_approx_form(metric, p, "metric"))
+    # rows of L+ are its columns, as L+ is exactly symmetric
+    y = pinv.matrix[pairs[:, 0]] - pinv.matrix[pairs[:, 1]]
+    sums = _approx_sums(y[:, g.ei] - y[:, g.ej], g.w, qs)
+    return np.stack([_approx_form(metric, p, "metric")
+                     for metric, p in zip(sums, ps)])
 
 
 def approx_presistance(g, p, i, j, pinv=None):
@@ -663,10 +678,13 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
     upper = np.zeros((len(qs), n, n))
     if qs and g.m:
-        # row v: the drop over each edge of L+'s column v. The ej gather is
-        # subtracted in place, so only one more array of this size is made
-        drops = np.take(Lp.T, g.ei, axis=1)
-        drops -= np.take(Lp.T, g.ej, axis=1)
+        # row v: the drop over each edge of L+'s column v, which is its row
+        # v, as L+ is exactly symmetric. The ej gather is subtracted in
+        # blocks of rows, so no second array of this size is made
+        drops = np.take(Lp, g.ei, axis=1)
+        step = max(1, _BLOCK_DROPS // g.m)
+        for v in range(0, n, step):
+            drops[v : v + step] -= np.take(Lp[v : v + step], g.ej, axis=1)
         # the p = 2 resistance of each edge, read off these drops; should
         # rounding leave one at or below 0, every pair takes the row path
         edges = np.arange(g.m)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from presistance import generate
+from presistance import cli, generate, numerics, pipeline
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -140,3 +140,18 @@ def reference_components(n, edges):
     for v in range(n):
         comps.setdefault(find(v), []).append(v)
     return list(comps.values())
+
+
+@pytest.fixture
+def projector_builds(monkeypatch):
+    """The graphs `edge_projector` is called on, wherever it is called from."""
+    calls = []
+    original = numerics.edge_projector
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    for mod in (numerics, pipeline, cli):
+        monkeypatch.setattr(mod, "edge_projector", counting)
+    return calls

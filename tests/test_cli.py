@@ -260,6 +260,21 @@ def test_bound_cycle(tmp_path):
     assert est_p2 == pytest.approx(1.0, abs=1e-9)
 
 
+def test_bound_builds_one_flow_map(tmp_path, projector_builds):
+    assert run(["bound", "--generate", "cycle:n=20", "--p-grid", "1.5,2.0,5.0",
+                "--out", tmp_path / "b.csv"]) == 0
+    assert len(projector_builds) == 1
+
+
+def test_bound_estimate_at_p2_is_at_most_the_ceiling(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run(["bound", "--generate", "cycle:n=20", "--p-grid", "2.0",
+                "--out", out]) == 0
+    lines = [l for l in out.read_text().splitlines() if l and not l.startswith("#")]
+    row = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(row["alpha_estimate"]) <= float(row["worst_case"]) == 1.0
+
+
 def test_ratio_command(tmp_path):
     out = tmp_path / "r.csv"
     assert run(["ratio", "--generate", "gnp_connected:n=9,edge_prob=0.5",

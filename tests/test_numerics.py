@@ -335,12 +335,11 @@ def test_edge_projector_is_the_weighted_flow_map():
 @pytest.mark.parametrize("name", sorted(WEIGHTED))
 def test_bound_estimate_below_rigorous_ceiling_on_weighted_graphs(name):
     # the estimate is a lower value of the factor the ceiling bounds from
-    # above; 1e-12 leaves room for rounding at p = 2, where the ceiling is
-    # exactly 1 and the estimate can read up to about 1 + 1.3e-15
+    # above, and is clamped to it, so no rounding slack is needed
     g = WEIGHTED[name]
     for p in BOUND_PS:
         b = approximation_bound(g, p)
-        assert 1 - 1e-9 <= b.value <= b.ceiling * (1 + 1e-12), p
+        assert 1 - 1e-9 <= b.value <= b.ceiling, p
 
 
 @pytest.mark.parametrize("p", BOUND_PS)
@@ -355,3 +354,39 @@ def test_weighted_cycle_ratio_sweep_against_parallel_oracle(p):
     # on this cycle the estimate is tight: the worst pair reaches it
     worst = max(r["ratio"] for r in rows)
     assert worst == pytest.approx(rows[0]["bound_est_pow_q"], rel=1e-9)
+
+
+@pytest.mark.parametrize("g", [generate("cycle", n=20), generate("example_g3")],
+                         ids=["cycle20", "example_g3"])
+def test_bound_estimate_at_p2_never_exceeds_the_ceiling(g):
+    # at p = 2 the map is an orthogonal projector and the ceiling is exactly
+    # 1; rounding lifts the unclamped estimate to 1 + 4e-16 on the cycle
+    b = approximation_bound(g, 2.0)
+    assert b.ceiling == 1.0
+    assert 1 - 1e-12 <= b.value <= b.ceiling
+
+
+def test_bound_estimates_near_one_stay_in_range():
+    # near p = 1 the iteration is most sensitive to rounding; wherever it
+    # ends, the value is at least the image start's 1 and at most the ceiling
+    for seed in range(10):
+        g = generate("gnp_connected", n=40, edge_prob=0.2, seed=seed)
+        b = approximation_bound(g, 1.1, seed=seed)
+        assert 1 - 1e-12 <= b.value <= b.ceiling, seed
+
+
+@pytest.mark.parametrize("g", [
+    generate("gnp_connected", n=40, edge_prob=0.2, seed=3), WEIGHTED["cycle10"],
+], ids=["gnp40", "cycle10"])
+def test_approximation_bound_takes_a_precomputed_projector(g):
+    P = edge_projector(g)
+    for p in (1.1, 1.5, 2.0, 2.9, 10.0):
+        assert approximation_bound(g, p, seed=1, projector=P) == \
+            approximation_bound(g, p, seed=1)
+
+
+def test_approximation_bound_rejects_a_projector_of_another_shape():
+    g = generate("cycle", n=6)
+    other = edge_projector(generate("cycle", n=7))
+    with pytest.raises(DimensionMismatch):
+        approximation_bound(g, 3.0, projector=other)

@@ -15,6 +15,7 @@ from presistance import (
     distance_matrix,
     generate,
     knn_gaussian_graph,
+    laplacian_pinv,
     load_features,
     matrix_op_pnorm,
     ratio_sweep,
@@ -374,3 +375,22 @@ def test_ratio_sweep_p2_exact_and_bounds():
     csv_text = ratio_rows_csv(rows)
     assert csv_text.splitlines()[0].startswith("p,i,j,")
     assert len(csv_text.splitlines()) == len(rows) + 1
+
+
+def test_ratio_sweep_builds_one_flow_map_per_graph(projector_builds):
+    g = generate("gnp_connected", n=12, edge_prob=0.4, seed=2)
+    ratio_sweep(g, (1.5, 2.0, 2.9, 10.0), sample_pairs=3, seed=0)
+    assert projector_builds == [g]
+
+
+def test_ratio_sweep_approximate_values_are_approx_metric():
+    g = generate("gnp_connected", n=15, edge_prob=0.3, seed=4)
+    pinv = laplacian_pinv(g)
+    rows = ratio_sweep(g, (1.1, 2.0, 2.9, 10.0), sample_pairs=6, seed=3)
+    for r in rows:
+        want = approx_metric(g, r["p"], r["i"], r["j"], pinv)
+        assert type(r["approx_metric"]) is float
+        assert r["approx_metric"] == pytest.approx(want, rel=1e-12, abs=0)
+    # one sampled pair takes the single-pair path: the same bytes
+    for r in ratio_sweep(g, (1.5, 10.0), sample_pairs=1, seed=5):
+        assert r["approx_metric"] == approx_metric(g, r["p"], r["i"], r["j"], pinv)

@@ -11,6 +11,7 @@ from presistance import (
     GraphBuildParams,
     SolverConfig,
     approx_metric,
+    approx_metrics,
     approx_presistance,
     build_graph,
     distance_matrices,
@@ -81,6 +82,23 @@ def test_approx_metric_rejects_pairs_outside_the_graph(i, j):
         approx_metric(g, 3.0, i, j, pinv)
     with pytest.raises(DimensionMismatch):
         ssl_solve(g, 3.0, i, j, pinv=pinv)
+
+
+def test_approx_metrics_of_pairs_and_ps_are_approx_metric():
+    g = generate("gnp_connected", n=20, edge_prob=0.3, seed=6)
+    pinv = laplacian_pinv(g)
+    ps = (1.1, 2.0, 3.0, 100.0, np.inf)
+    pairs = [(3, 0), (19, 7), (5, 4), (12, 11)]
+    got = approx_metrics(g, ps, pairs, pinv)
+    assert got.shape == (len(ps), len(pairs))
+    for k, p in enumerate(ps):
+        for r, (i, j) in enumerate(pairs):
+            want = approx_metric(g, p, i, j, pinv)
+            assert got[k, r] == pytest.approx(want, rel=1e-12, abs=0)
+            # one pair alone takes the single-pair path of approx_metric
+            assert approx_metrics(g, (p,), [(i, j)], pinv)[0, 0] == want
+    with pytest.raises(DimensionMismatch):
+        approx_metrics(g, ps, [(3, 0), (4, 4)], pinv)
 
 
 def test_infinite_p_is_for_the_approximate_route_only():
