@@ -146,11 +146,6 @@ def _abs_sum_norm(M, axis):
     return float(np.abs(M).sum(axis=axis).max())
 
 
-# the dot product of each row of one matrix with the same row of another;
-# numpy before 2.0 has no vecdot
-_row_dots = getattr(np, "vecdot", lambda a, b: np.einsum("ij,ij->i", a, b))
-
-
 def _unit_rows(X, p):
     """The rows of X with a nonzero finite p-norm, scaled to norm 1."""
     norms = np.linalg.norm(X, ord=p, axis=1)
@@ -187,8 +182,10 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
         *(np.asarray(s, dtype=float) for s in extra_starts)]), p)
 
     # each step takes two elementwise powers, A^(p-1) of the image A = |Mx|
-    # and B^(q-1) of the gradient B = |Z|, and reads every norm off them;
-    # the block is indexed only on a step where some row stops
+    # and B^(q-1) of the gradient B = |Z|, and reads every norm off them.
+    # Most steps retire no row, and on the bound's small blocks masking
+    # costs more than the step's reductions, so a step masks only when
+    # some row leaves
     norms = []
     iterations = 0
     with np.errstate(over="ignore", under="ignore"):
@@ -199,9 +196,9 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
             Y = X @ M.T
             A = np.abs(Y)
             P1 = A ** (p - 1.0)
-            ny = _row_dots(P1, A) ** (1.0 / p)
+            ny = np.einsum("ij,ij->i", P1, A) ** (1.0 / p)
             norms.append(ny)
-            if np.count_nonzero(ny) < ny.size:
+            if not ny.all():
                 live = ny != 0
                 X, Y, P1, ny = X[live], Y[live], P1[live], ny[live]
             # Z holds the gradients of ||Mx||_p at the rows x; stationarity
@@ -209,14 +206,15 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
             Z = (np.copysign(P1, Y) / ny[:, None] ** (p - 1.0)) @ M
             B = np.abs(Z)
             Q1 = B ** (q - 1.0)
-            zq = _row_dots(Q1, B)
+            zq = np.einsum("ij,ij->i", Q1, B)
             # the next step sign(Z) B^(q-1) has p-norm zq^(1/p), as
             # (q - 1) p = q. Extreme conjugate exponents can underflow it;
             # the image norms reached so far are still valid lower bounds
             nx = zq ** (1.0 / p)
-            live = ~(zq ** (1.0 / q) <= _row_dots(Z, X) * (1.0 + 1e-12) + 1e-15)
+            zx = np.einsum("ij,ij->i", Z, X)
+            live = ~(zq ** (1.0 / q) <= zx * (1.0 + 1e-12) + 1e-15)
             live &= (nx != 0) & np.isfinite(nx)
-            if np.count_nonzero(live) < live.size:
+            if not live.all():
                 Q1, Z, nx = Q1[live], Z[live], nx[live]
             X = np.copysign(Q1, Z) / nx[:, None]
     best = float(np.concatenate(norms).max()) if norms else 0.0
@@ -229,10 +227,12 @@ class ApproximationBound:
     where P = C L+ C^T W is the p = 2 flow map of `edge_projector`.
 
     This factor governs how loose the pseudoinverse-based resistance
-    approximation can get. `value` is a power-iteration estimate, a lower
-    bound on the true factor, clamped to `ceiling` so that rounding cannot
-    lift it above (at p = 2 both are 1). `worst_case` is the
-    structure-free ceiling (m w_max / w_min)^|1/2 - 1/p|: the map is
+    approximation can get. `estimate` is the power-iteration value, a lower
+    bound on the true factor up to rounding; `value` is it clamped to
+    `ceiling`, so that rounding cannot lift it above (at p = 2 both are 1).
+    Checks of the estimator read `estimate`, which the clamp cannot hide.
+    `worst_case` is the structure-free ceiling
+    (m w_max / w_min)^|1/2 - 1/p|: the map is
     W^(1/p - 1/2) Q W^(1/2 - 1/p) for the orthogonal projector
     Q = W^(1/2) C L+ C^T W^(1/2), whose p-norm is at most m^|1/2 - 1/p|.
     `one_norm_ceiling` is the exactly computable max(1-norm, inf-norm)
@@ -242,7 +242,7 @@ class ApproximationBound:
     `worst_case` is m^|1/2 - 1/p|.
     """
 
-    value: float
+    estimate: float
     worst_case: float
     one_norm_ceiling: float
     iterations: int
@@ -250,6 +250,10 @@ class ApproximationBound:
     @property
     def ceiling(self):
         return min(self.one_norm_ceiling, self.worst_case)
+
+    @property
+    def value(self):
+        return min(self.estimate, self.ceiling)
 
 
 def edge_projector(g):
@@ -266,11 +270,13 @@ def edge_projector(g):
 def approximation_bound(g, p, seed=0, projector=None):
     """Estimate the approximation bound factor for a graph at exponent p.
 
-    `projector` is the graph's `edge_projector`, computed when left out; a
-    sweep over p passes one in, as it does not depend on p. The estimate is
-    a lower bound on the true factor but at least 1 up to floating-point
-    noise: a vector from the projector's image (where the map acts as the
-    identity) is always among the starting vectors.
+    `projector` must be `edge_projector(g)` of this same graph, computed
+    when left out; a sweep over p passes one in, as it does not depend on
+    p. Only its shape is checked: the ceilings are computed from it, so a
+    flow map of another graph with as many edges gives wrong ones. The
+    estimate is a lower bound on the true factor but at least 1 up to
+    floating-point noise: a vector from the projector's image (where the
+    map acts as the identity) is always among the starting vectors.
     """
     p = check_p(p)
     if projector is None:
@@ -289,7 +295,7 @@ def approximation_bound(g, p, seed=0, projector=None):
     worst_case = float((g.m * g.w.max() / g.w.min()) ** abs(0.5 - 1.0 / p))
     one_norm_ceiling = max(_abs_sum_norm(E, 0), _abs_sum_norm(E, 1))
     return ApproximationBound(
-        value=min(est.value, one_norm_ceiling, worst_case),
+        estimate=est.value,
         worst_case=worst_case,
         one_norm_ceiling=one_norm_ceiling,
         iterations=est.iterations,

@@ -160,15 +160,15 @@ def suite_alpha_range(seed=0):
     for name, g in graphs:
         for p in (1.5, 2.0, 3.0, 5.0):
             b = approximation_bound(g, p, seed=seed)
-            if not (1 - 1e-9 <= b.value <= b.worst_case + 1e-9):
-                fails.append(f"{name} p={p}: estimate {b.value} outside [1, m^|1/2-1/p|]")
+            if not (1 - 1e-9 <= b.estimate <= b.worst_case + 1e-9):
+                fails.append(f"{name} p={p}: estimate {b.estimate} outside [1, m^|1/2-1/p|]")
     for n in (5, 10, 20):
         for fam in ("complete", "cycle"):
             g = generate(fam, n=n)
             for p in (1.5, 3.0, 5.0):
                 b = approximation_bound(g, p, seed=seed)
-                if b.value > 4 + 1e-9:
-                    fails.append(f"{fam}{n} p={p}: estimate {b.value} above 4")
+                if b.estimate > 4 + 1e-9:
+                    fails.append(f"{fam}{n} p={p}: estimate {b.estimate} above 4")
     return fails
 
 
@@ -205,7 +205,7 @@ def suite_sandwich(seed=0):
         pinv = laplacian_pinv(g)
         for p in (1.5, 2.0, 3.0, 5.0):
             b = approximation_bound(g, p, seed=seed)
-            if not (1 - 1e-9 <= b.value <= b.one_norm_ceiling + 1e-9):
+            if not (1 - 1e-9 <= b.estimate <= b.one_norm_ceiling + 1e-9):
                 fails.append(f"graph {c} p={p}: estimator outside [1, ceiling]")
             for i in range(n):
                 for j in range(i + 1, n):

@@ -98,8 +98,8 @@ def test_criterion_02_two_sided_bound():
         for p in (1.5, 3.0, 5.0):
             bound = approximation_bound(g, p, seed=c)
             # estimator sanity: at least 1, at most the exact interpolation cap
-            assert bound.value >= 1 - 1e-9
-            assert bound.value <= bound.one_norm_ceiling + 1e-9
+            assert bound.estimate >= 1 - 1e-9
+            assert bound.estimate <= bound.one_norm_ceiling + 1e-9
             alpha_est = max(bound.value, 1.0)
             alpha_cap = min(bound.one_norm_ceiling, bound.worst_case)
             for i in range(n):
@@ -269,9 +269,9 @@ def test_criterion_07a_bound_factor_ranges():
             g = generate(fam, n=n)
             for p in (1.5, 2.0, 3.0, 5.0):
                 b = approximation_bound(g, p, seed=0)
-                assert b.value <= 4.0 + 1e-9, f"{fam}({n}) p={p}: above 4"
-                assert b.value >= 1 - 1e-9
-                assert b.value <= b.worst_case + 1e-9
+                assert b.estimate <= 4.0 + 1e-9, f"{fam}({n}) p={p}: above 4"
+                assert b.estimate >= 1 - 1e-9
+                assert b.estimate <= b.worst_case + 1e-9
     # corrected cycle identity (see criterion 07b for the published form)
     for n in (5, 10, 20, 40):
         val = matrix_op_pnorm(edge_projector(generate("cycle", n=n)), 1).value
@@ -281,7 +281,7 @@ def test_criterion_07a_bound_factor_ranges():
         g = random_connected(int(rng.integers(4, 13)), int(rng.integers(1 << 30)))
         for p in (1.5, 3.0, 5.0):
             b = approximation_bound(g, p, seed=c)
-            assert 1 - 1e-9 <= b.value <= b.worst_case + 1e-9
+            assert 1 - 1e-9 <= b.estimate <= b.worst_case + 1e-9
     elapsed = time.time() - t0
     report("07a", "bound factor ranges (complete/cycle <= 4, all in "
            "[1, m^|1/2-1/p|])", True, f"{elapsed:.1f}s")
