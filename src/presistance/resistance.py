@@ -14,12 +14,14 @@ asked for. `distance_matrices` builds the approximate all-pairs matrices of
 one graph for a whole p grid: it gathers the edge drops of each L+ column
 once (a vertex-by-edges array), takes the pairs that are edges through the
 symmetric kernel `_edge_pair_metrics`, which logs each (edge, edge) drop
-once for both of its edges, and the other pairs through `_approx_sums`, in
-cache-sized blocks, with one log per drop and one exp per drop and p. An
-edge whose symmetric value underflows or overflows at any p of the grid
-takes the row path with the other pairs, at every p. Both paths run their
-blocks on a thread pool, and the matrices have the same bytes for any
-thread count. `distance_matrix` in approximate mode is its one-p call.
+once for both of its edges, and the other pairs through the peak-free row
+pass `_unit_pair_metrics`, which scales all drops once by one power of two
+and then takes one log per drop and one exp and one product per drop and p,
+in cache-sized blocks. A pair whose value from either underflows or
+overflows at any p of the grid takes the peak-scaled row path
+`_approx_sums` instead, at every p. Every path runs its blocks on a thread
+pool, and the matrices have the same bytes for any thread count.
+`distance_matrix` in approximate mode is its one-p call.
 Every pair query takes the pair as `(g, p, i, j)`: `ssl_solve`,
 `exact_presistance`, `approx_metric` and `approx_presistance`.
 Combinatorial oracles for the two limit regimes (minimum cut and hop
@@ -374,38 +376,49 @@ def _log(x):
         return np.log(x, out=x)
 
 
-def _approx_sums(drops, w, qs):
+def _approx_sums(drops, w, qs, peak=True, power=None):
     """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
     are the rows of `drops`, at each q of `qs`: entry [k, r] is the q-th
     power sum over edges of w |drop|^q of row r at q = qs[k], factored by
     the row's peak so that huge q stays in range and the result does not
     depend on the scale of the drops. This is the row path:
-    `approx_metrics` takes it for sampled pairs, `distance_matrices` for the
-    pairs that are not edges and for the edges whose symmetric value fails
-    at some p.
+    `approx_metrics` takes it for sampled pairs, `distance_matrices` for
+    the edges whose symmetric value fails at some p and for the other pairs
+    whose peak-free sums fail at some p.
 
-    The peak-scaled drops are logged once and each q costs one exp and one
+    With `peak` False the drops are not factored: entry [k, r] is the plain
+    sum over edges of w |drop|^q, for drops the caller has scaled to at
+    most 1 (`_unit_pair_metrics`), which saves a row max and a divide per
+    drop.
+
+    The drops are logged once and each q costs one exp and one
     matrix-vector product, cheaper than one `**` per q. A zero drop logs to
     -inf and contributes exactly 0, so a pair of identical endpoints gets
-    exactly 0. Works in place and overwrites `drops`.
+    exactly 0. Works in place and overwrites `drops`: the last q
+    exponentiates the logs where they lie, and the others exponentiate into
+    `power`, an array of the shape of `drops` (made when None).
     """
     scaled = np.abs(drops, out=drops)
-    peak = scaled.max(axis=1)
-    peak[peak == 0.0] = 1.0
-    scaled /= peak[:, None]
+    if peak:
+        top = scaled.max(axis=1)
+        top[top == 0.0] = 1.0
+        scaled /= top[:, None]
     logd = _log(scaled)
     sums = np.empty((len(qs), drops.shape[0]))
-    power = np.empty_like(logd)
+    last = len(qs) - 1
+    if last > 0 and power is None:
+        power = np.empty_like(logd)
     for k, q in enumerate(qs):
-        np.exp(np.multiply(logd, q, out=power), out=power)
+        out = logd if k == last else power
+        np.exp(np.multiply(logd, q, out=out), out=out)
         # one pair sums in einsum's own loop: the BLAS dot product it would
         # otherwise call is threaded above 10000 edges and stalls for
         # milliseconds in some processes
         if drops.shape[0] == 1:
-            total = np.einsum("e,e->", w, power[0])
+            total = np.einsum("e,e->", w, out[0])
         else:
-            total = power @ w
-        sums[k] = peak**q * total
+            total = out @ w
+        sums[k] = top**q * total if peak else total
     return sums
 
 
@@ -421,11 +434,13 @@ def _drop_rows(drops, a, b, start, out):
     return out
 
 
-def _pair_sums(drops, w, qs, a, b, workers=1):
+def _pair_sums(drops, w, qs, a, b, workers=1, peak=True):
     """`_approx_sums` of the pairs (a[r], b[r]), whose edge drops are the
     differences of rows a[r] and b[r] of `drops`, taken in blocks of about
-    `_BLOCK_DROPS` drops. The blocks write disjoint columns of the result,
-    so runs of them go to `workers` threads in any order."""
+    `_BLOCK_DROPS` drops, peak-scaled or not as `peak` says. The blocks
+    write disjoint columns of the result, so runs of them go to `workers`
+    threads in any order. Each thread holds one block, and a second for the
+    powers only when there is more than one q."""
     m = drops.shape[1]
     sums = np.empty((len(qs), a.size))
     rows = max(1, _BLOCK_DROPS // m)
@@ -436,10 +451,12 @@ def _pair_sums(drops, w, qs, a, b, workers=1):
         # the columns of each block of the run
         if not hasattr(local, "block"):
             local.block = np.empty((min(rows, a.size), m))
+            local.power = np.empty_like(local.block) if len(qs) > 1 else None
         for s in run:
             e = min(s + rows, a.size)
             diff = _drop_rows(drops, a[s:e], b[s:e], 0, local.block[: e - s])
-            sums[:, s:e] = _approx_sums(diff, w, qs)
+            power = None if local.power is None else local.power[: e - s]
+            sums[:, s:e] = _approx_sums(diff, w, qs, peak, power)
 
     # a few runs per worker: a task per block spends a share of its time in
     # hand-offs between the threads
@@ -448,6 +465,55 @@ def _pair_sums(drops, w, qs, a, b, workers=1):
     for _ in _ordered_map(fill, runs, workers):
         pass
     return sums
+
+
+def _unit_pair_metrics(drops, w, qs, a, b, workers=1):
+    """Approximated metric of the pairs (a[r], b[r]) at each q of `qs` by
+    the peak-free row pass, and where it is exact to rounding.
+
+    The drops are divided in place by c, the smallest power of two above
+    twice their largest magnitude, so that every pair drop, a difference of
+    two of them, is at most 1 and none of its powers overflows. The metric
+    of a pair is c^q times its plain sum over edges of w |scaled drop|^q,
+    from `_pair_sums` with `peak` False: per block one subtract, abs and log
+    per drop and one exp and one matrix-vector product per q, with no row
+    peak. Dividing by a power of two is exact down to the smallest normal
+    float, and the drops are multiplied back by c before the return.
+
+    An entry is ok, as in `_edge_pair_metrics`, when its metric is finite
+    and positive and its sum is at least m `_SUM_FLOOR`, times the largest
+    weight where that is above 1: each term lost to underflow is below its
+    weight times the smallest normal float, so together they stay below eps
+    of the sum. A pair's drop is at most reach[a] + reach[b], the largest
+    drop magnitudes of its two rows, so its sum is at most the sum of w
+    times ((reach[a] + reach[b]) / c)^q. A pair for which that bound lies
+    below the floor at some q cannot be ok at every q and skips the pass,
+    and where c^q is not a normal float at some q the whole pass is
+    skipped; the entries of the pairs skipped come back not ok.
+    """
+    m = drops.shape[1]
+    floor = m * max(1.0, w.max()) * _SUM_FLOOR
+    reach = np.maximum(drops.max(axis=1), -drops.min(axis=1))
+    top = reach.max()
+    qcol = np.array(qs)[:, None]
+    metric = np.empty((len(qs), a.size))
+    ok = np.zeros((len(qs), a.size), dtype=bool)
+    with np.errstate(over="ignore", under="ignore"):
+        c = np.ldexp(1.0, np.frexp(top)[1] + 1)
+        scale = c**qcol
+        bound = w.sum() * ((reach[a] + reach[b]) / c) ** qcol
+    if not (0.0 < top < np.inf and np.all((scale >= _TINY) & (scale < np.inf))):
+        return metric, ok
+    live = np.flatnonzero((bound >= floor).all(axis=0))
+    if live.size:
+        drops /= c
+        sums = _pair_sums(drops, w, qs, a[live], b[live], workers, peak=False)
+        drops *= c
+        with np.errstate(over="ignore", under="ignore"):
+            vals = sums * scale
+        metric[:, live] = vals
+        ok[:, live] = (sums >= floor) & np.isfinite(vals) & (vals > 0.0)
+    return metric, ok
 
 
 def _edge_pair_metrics(drops, g, qs, root, workers=1):
@@ -663,11 +729,15 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     The pairs that are edges take the symmetric kernel
     `_edge_pair_metrics`, which scales the drops by the edges' p = 2
     resistances and so logs each (edge, edge) drop once instead of twice.
-    The pairs that are not edges take the row path `_approx_sums`, which
-    scales each pair's drops by their peak, and so does, at every p, an
-    edge whose symmetric value underflows or overflows at any p. Both walk
-    blocks of about `_BLOCK_DROPS` drops and take one log per drop and one
-    exp per drop and p.
+    The pairs that are not edges take the peak-free row pass
+    `_unit_pair_metrics`, which scales every drop in place by one power of
+    two, so that no pair drop exceeds 1, and needs no row max or divide
+    per block. A pair whose value from either underflows or overflows at
+    any p takes the row path `_approx_sums` at every p, which scales each
+    pair's drops by their peak, on the unscaled drops. So a complete graph
+    never enters the peak-free pass. All three walk blocks of about
+    `_BLOCK_DROPS` drops and take one log per drop and one exp per drop and
+    p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -689,15 +759,24 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
         # rounding leave one at or below 0, every pair takes the row path
         edges = np.arange(g.m)
         resist = drops[g.ei, edges] - drops[g.ej, edges]
-        rest = np.ones((n, n), dtype=bool)
+        edge = np.zeros((n, n), dtype=bool)
+        edge[g.ej, g.ei] = True
+        # the pairs left for the peak-scaled row path; a pair whose entry
+        # fails at any p stays here
+        rest = edge.copy()
         if np.all(resist > 0.0):
             metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist),
                                             workers)
-            # an edge whose symmetric entry fails at any p stays in `rest`
             keep = ok.all(axis=0)
             upper[:, g.ej[keep], g.ei[keep]] = metric[:, keep]
             rest[g.ej[keep], g.ei[keep]] = False
-        a, b = np.nonzero(np.triu(rest, 1))
+        a, b = np.nonzero(np.triu(~edge, 1))
+        if a.size:
+            metric, ok = _unit_pair_metrics(drops, g.w, qs, a, b, workers)
+            keep = ok.all(axis=0)
+            upper[:, a[keep], b[keep]] = metric[:, keep]
+            rest[a[~keep], b[~keep]] = True
+        a, b = np.nonzero(rest)
         upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
     out = []
     k = 0

@@ -691,6 +691,23 @@ def test_distance_matrices_match_pinv_reference_iris(iris_csv):
     _assert_matrices_match_pinv_reference(g, pairs)
 
 
+def _half_iris(iris_csv, mu, sigma):
+    # every other iris row; a sparse graph keeps its largest component
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
+    return knn_gaussian_graph(half, GraphBuildParams(
+        mu=mu, sigma=sigma, on_disconnect="largest_component"))
+
+
+def _assert_independent_of_block_size(g, monkeypatch):
+    pinv = laplacian_pinv(g)
+    base = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv)]
+    for drops in (1, g.n * g.m):
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", drops)
+        for want, dm in zip(base, distance_matrices(g, KERNEL_PS, pinv)):
+            assert np.all(np.abs(dm.matrix - want) <= 1e-13 * want)
+
+
 def test_distance_matrices_independent_of_block_size(iris_csv, monkeypatch):
     # every other iris row: 75 vertices, 2775 edges, so the default block
     # holds 23 pairs and most rows end in a partial block. One-pair blocks
@@ -700,15 +717,34 @@ def test_distance_matrices_independent_of_block_size(iris_csv, monkeypatch):
     # here, 3.1e-14 on all of iris), checked at the 1e-13 of the other
     # path-agreement tests. A pair put in the wrong block or row is off by
     # far more
-    ds = load_features(iris_csv, has_labels=True, label_column="last")
-    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
-    g = knn_gaussian_graph(half, GraphBuildParams(mu=1.0, sigma=1e-3))
-    pinv = laplacian_pinv(g)
-    base = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv)]
-    for drops in (1, g.n * g.m):
-        monkeypatch.setattr(resistance, "_BLOCK_DROPS", drops)
-        for want, dm in zip(base, distance_matrices(g, KERNEL_PS, pinv)):
-            assert np.all(np.abs(dm.matrix - want) <= 1e-13 * want)
+    g = _half_iris(iris_csv, 1.0, 1e-3)
+    assert g.m == g.n * (g.n - 1) // 2
+    _assert_independent_of_block_size(g, monkeypatch)
+
+
+def test_distance_matrices_independent_of_block_size_sparse(iris_csv,
+                                                             monkeypatch):
+    # the k-NN graph of half of iris at mu = 0.1: 995 of its 1225 pairs are
+    # not edges and take the peak-free row pass, in blocks of one pair and
+    # in one block of all of them
+    g = _half_iris(iris_csv, 0.1, 1.0)
+    assert g.m < g.n * (g.n - 1) // 4
+    _assert_independent_of_block_size(g, monkeypatch)
+
+
+def _row_peak_reference(g, pinv, q):
+    # the metric of every pair with its drops scaled by their peak, as the
+    # peak-scaled row path takes it
+    Lp = pinv.matrix
+    want = np.zeros((g.n, g.n))
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for i in range(g.n):
+            Y = Lp[:, [i]] - Lp
+            d = np.abs(Y[g.ei] - Y[g.ej])
+            peak = d.max(axis=0)
+            peak[i] = 1.0
+            want[i] = peak**q * (g.w @ (d / peak) ** q)
+    return want
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -726,26 +762,91 @@ def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
     pinv = laplacian_pinv(g)
     got = distance_matrices(g, (p,), pinv)[0].matrix
     assert not np.isnan(got).any()
-    Lp = pinv.matrix
-    want = np.zeros_like(got)
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        for i in range(g.n):
-            Y = Lp[:, [i]] - Lp
-            d = np.abs(Y[g.ei] - Y[g.ej])
-            peak = d.max(axis=0)
-            peak[i] = 1.0
-            want[i] = peak**q * (g.w @ (d / peak) ** q)
+    want = _row_peak_reference(g, pinv, q)
     good = np.isfinite(want) & (want > 0.0)
     assert good.sum() > 100
     assert np.all(np.abs(got[good] - want[good]) <= 1e-12 * want[good])
 
 
-def _half_iris(iris_csv, mu, sigma):
-    # every other iris row; a sparse graph keeps its largest component
+def _recording_pair_sums(monkeypatch):
+    # the pairs (a, b) of each `_pair_sums` call, by whether it scales them
+    # by their peak (the row path) or not (the peak-free pass)
+    calls = {True: [], False: []}
+    pair_sums = resistance._pair_sums
+
+    def recording(drops, w, qs, a, b, workers=1, peak=True):
+        calls[peak].append((a.copy(), b.copy()))
+        return pair_sums(drops, w, qs, a, b, workers, peak)
+
+    monkeypatch.setattr(resistance, "_pair_sums", recording)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("sigma", [1.0, 10.0])
+def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
+    # the k-NN graph of half of iris at mu = 0.1. At p = 1.001, q = 1001,
+    # a pair's drops scaled to at most 1 mostly leave its sum below the
+    # floor (or c^q out of range): the pairs that are not edges go back to
+    # the peak-scaled row path (all 995 here at both sigma), and where its
+    # reference is finite and positive (246 and 38 entries) they agree with
+    # it. At p = 1.1 and 2.9 no pair goes back
+    g = _half_iris(iris_csv, 0.1, sigma)
+    pinv = laplacian_pinv(g)
+    edge = np.zeros((g.n, g.n), dtype=bool)
+    edge[g.ej, g.ei] = True
+    calls = _recording_pair_sums(monkeypatch)
+    got = distance_matrices(g, (1.001,), pinv)[0].matrix
+    back = sum(np.count_nonzero(~edge[a, b]) for a, b in calls[True])
+    assert back > 0
+    # the bound from the rows' largest drops keeps most of them out of the
+    # pass (10 of 995 enter it at sigma = 1, none at sigma = 10)
+    assert sum(a.size for a, _ in calls[False]) < back / 20
+    assert not np.isnan(got).any()
+    want = _row_peak_reference(g, pinv, conjugate_exponent(1.001))
+    good = np.isfinite(want) & (want > 0.0) & ~edge & ~edge.T
+    np.fill_diagonal(good, False)
+    assert good.any()
+    assert np.all(np.abs(got[good] - want[good]) <= 1e-12 * want[good])
+    for p in (1.1, 2.9):
+        calls[True].clear()
+        calls[False].clear()
+        distance_matrices(g, (p,), pinv)
+        assert sum(a.size for a, _ in calls[True]) == 0, p
+        assert sum(a.size for a, _ in calls[False]) == np.count_nonzero(
+            np.triu(~edge, 1)), p
+
+
+def test_peak_free_pass_rejects_sums_below_the_floor():
+    # three rows of drops over two edges; the largest is 0.3, so the scale
+    # is c = 1. Pair (0, 1) drops 0.3 on both edges: at q = 602 its sum is
+    # a subnormal 2.53e-315 that has kept only 8 digits, below the floor,
+    # though its bound from the rows' largest drops (0.6^602) is above it.
+    # Pair (0, 2) underflows to 0. Both are not ok at q = 602, and every
+    # ok entry matches its sum from the definition
+    drops = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
+    before = drops.copy()
+    w = np.array([1.0, 0.5])
+    a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
+    qs = (602.0, 3.0)
+    metric, ok = resistance._unit_pair_metrics(drops, w, qs, a, b)
+    assert ok.tolist() == [[False, False, True], [True, True, True]]
+    assert drops.tobytes() == before.tobytes()
+    d = np.abs(before[a] - before[b])
+    for k, q in enumerate(qs):
+        want = d**q @ w
+        assert np.all(np.abs(metric[k, ok[k]] - want[ok[k]]) <= 1e-13 * want[ok[k]])
+
+
+def test_peak_free_pass_not_taken_on_complete_graphs(iris_csv, monkeypatch):
+    # every pair of a complete graph is an edge: the symmetric kernel takes
+    # them all, and those it rejects the peak-scaled row path
+    calls = _recording_pair_sums(monkeypatch)
     ds = load_features(iris_csv, has_labels=True, label_column="last")
-    half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
-    return knn_gaussian_graph(half, GraphBuildParams(
-        mu=mu, sigma=sigma, on_disconnect="largest_component"))
+    iris = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1.0))
+    for g in (generate("complete", n=12), iris):
+        distance_matrices(g, (1.001, 2.9))
+    assert not calls[False]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -776,10 +877,28 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
         g = _half_iris(iris_csv, 1.0, 1.0)
         ps = (1.001, 1.1, 2.9)
     pinv = laplacian_pinv(g)
+    # the threads that take the peak-free pass's blocks
+    threads = []
+    approx_sums = resistance._approx_sums
+
+    def recording(drops, w, qs, peak=True, power=None):
+        if not peak:
+            threads.append(threading.get_ident())
+        return approx_sums(drops, w, qs, peak, power)
+
+    monkeypatch.setattr(resistance, "_approx_sums", recording)
     base = [dm.matrix for dm in distance_matrices(g, ps, pinv, workers=1)]
     for workers in (2, 3):
+        threads.clear()
         for want, dm in zip(base, distance_matrices(g, ps, pinv, workers=workers)):
             assert dm.matrix.tobytes() == want.tobytes(), (case, workers, dm.p)
+        if case == "knn":
+            # every block on the pool; a run holds at most an eighth of
+            # them, so 2 blocks or more make more than one run
+            assert threading.get_ident() not in threads
+            assert len(threads) > 1
+        else:
+            assert not threads
 
 
 def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
