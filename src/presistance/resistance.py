@@ -12,15 +12,17 @@ the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
 for the approximate metric of one pair or of a block of pairs at every p
 asked for. `distance_matrices` builds the approximate all-pairs matrices of
 one graph for a whole p grid: it gathers the edge drops of each L+ column
-once (a vertex-by-edges array), takes the pairs that are edges through the
-symmetric kernel `_edge_pair_metrics`, which logs each (edge, edge) drop
-once for both of its edges, and the other pairs through the peak-free row
-pass `_unit_pair_metrics`, which scales all drops once by one power of two
-and then takes one log per drop and one exp and one product per drop and p,
-in cache-sized blocks. A pair whose value from either underflows or
-overflows at any p of the grid takes the peak-scaled row path
-`_approx_sums` instead, at every p. Every path runs its blocks on a thread
-pool, and the matrices have the same bytes for any thread count.
+once (a vertex-by-edges array) and divides them in place by one power of
+two, so that no pair drop exceeds 1. On those scaled drops two fast passes
+give the plain sums over edges of w |drop|^q: the pairs that are edges take
+the symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop once
+for both of its edges, and the other pairs the peak-free row pass, one log
+per drop and one exp and one product per drop and p, in cache-sized blocks.
+Both passes share one scale, one trust rule (`_trusted`) and one skip rule
+(`_unit_scale`) in `_fast_metrics`. A pair that either rule rejects at any
+p of the grid takes the peak-scaled row path `_approx_sums` instead, at
+every p. Every path runs its blocks on a thread pool, and the matrices have
+the same bytes for any thread count.
 `distance_matrix` in approximate mode is its one-p call.
 Every pair query takes the pair as `(g, p, i, j)`: `ssl_solve`,
 `exact_presistance`, `approx_metric` and `approx_presistance`.
@@ -69,7 +71,7 @@ class SolverConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.grad_tol <= 0:
+        if not self.grad_tol > 0:
             raise InvalidP(f"grad_tol must be positive, got {self.grad_tol}")
 
     def fingerprint(self):
@@ -328,15 +330,11 @@ def _checked_pinv(pinv, g):
 # exp temporary stay in cache while every p of the grid passes over them
 _BLOCK_DROPS = 1 << 16
 
-# the symmetric kernel trusts an edge-pair sum of at least m times this:
-# each of its at most m terms that underflowed was below the smallest normal
-# float, so together they stay below eps of the sum
+# the fast passes trust a sum of at least m times this, times the largest
+# weight where that is above 1: each of its at most m terms that underflowed
+# was below its weight times the smallest normal float, so together they
+# stay below eps of the sum
 _SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
-
-# exp of a log above this is inf, and of a log below the other 0; one unit
-# of margin on each side absorbs rounding in the logs and in the sums
-_LOG_HUGE = np.log(np.finfo(float).max) + 1.0
-_LOG_NIL = np.log(np.finfo(float).smallest_subnormal) - 1.0
 
 
 def available_cores():
@@ -437,7 +435,8 @@ def _drop_rows(drops, a, b, start, out):
 def _pair_sums(drops, w, qs, a, b, workers=1, peak=True):
     """`_approx_sums` of the pairs (a[r], b[r]), whose edge drops are the
     differences of rows a[r] and b[r] of `drops`, taken in blocks of about
-    `_BLOCK_DROPS` drops, peak-scaled or not as `peak` says. The blocks
+    `_BLOCK_DROPS` drops: the peak-scaled row path, or with `peak` False
+    the peak-free row pass on drops scaled once by `_fast_metrics`. The blocks
     write disjoint columns of the result, so runs of them go to `workers`
     threads in any order. Each thread holds one block, and a second for the
     powers only when there is more than one q."""
@@ -467,69 +466,89 @@ def _pair_sums(drops, w, qs, a, b, workers=1, peak=True):
     return sums
 
 
-def _unit_pair_metrics(drops, w, qs, a, b, workers=1):
-    """Approximated metric of the pairs (a[r], b[r]) at each q of `qs` by
-    the peak-free row pass, and where it is exact to rounding.
+def _unit_scale(drops, w, qs, a, b, floor):
+    """The one scale of the fast passes, and their skip rule.
 
-    The drops are divided in place by c, the smallest power of two above
-    twice their largest magnitude, so that every pair drop, a difference of
-    two of them, is at most 1 and none of its powers overflows. The metric
-    of a pair is c^q times its plain sum over edges of w |scaled drop|^q,
-    from `_pair_sums` with `peak` False: per block one subtract, abs and log
-    per drop and one exp and one matrix-vector product per q, with no row
-    peak. Dividing by a power of two is exact down to the smallest normal
-    float, and the drops are multiplied back by c before the return.
-
-    An entry is ok, as in `_edge_pair_metrics`, when its metric is finite
-    and positive and its sum is at least m `_SUM_FLOOR`, times the largest
-    weight where that is above 1: each term lost to underflow is below its
-    weight times the smallest normal float, so together they stay below eps
-    of the sum. A pair's drop is at most reach[a] + reach[b], the largest
-    drop magnitudes of its two rows, so its sum is at most the sum of w
-    times ((reach[a] + reach[b]) / c)^q. A pair for which that bound lies
-    below the floor at some q cannot be ok at every q and skips the pass,
-    and where c^q is not a normal float at some q the whole pass is
-    skipped; the entries of the pairs skipped come back not ok.
+    c is the smallest power of two above twice the largest drop magnitude.
+    Divided by c, every drop is below 1/2, so every pair drop, a difference
+    of two of them, is below 1 and none of its powers overflows; and a
+    division by a power of two is exact down to the smallest normal float.
+    A pair's drop is at most reach[a] + reach[b], the largest drop
+    magnitudes of its two rows, so its sum over edges of w |drop / c|^q is
+    at most the sum of w times ((reach[a] + reach[b]) / c)^q. Returns c,
+    c^q at each q of `qs` (as a column), and whether that bound of each
+    pair (a[r], b[r]) is at least `floor` at every q: a pair for which it
+    is not cannot be trusted at every q, and where c^q is not a normal
+    float at some q no pair can.
     """
-    m = drops.shape[1]
-    floor = m * max(1.0, w.max()) * _SUM_FLOOR
     reach = np.maximum(drops.max(axis=1), -drops.min(axis=1))
     top = reach.max()
     qcol = np.array(qs)[:, None]
-    metric = np.empty((len(qs), a.size))
-    ok = np.zeros((len(qs), a.size), dtype=bool)
     with np.errstate(over="ignore", under="ignore"):
         c = np.ldexp(1.0, np.frexp(top)[1] + 1)
         scale = c**qcol
         bound = w.sum() * ((reach[a] + reach[b]) / c) ** qcol
+    live = (bound >= floor).all(axis=0)
     if not (0.0 < top < np.inf and np.all((scale >= _TINY) & (scale < np.inf))):
-        return metric, ok
-    live = np.flatnonzero((bound >= floor).all(axis=0))
-    if live.size:
+        live[:] = False
+    return c, scale, live
+
+
+def _trusted(sums, scale, floor):
+    """The metrics c^q times `sums` of a fast pass, and the trust rule: an
+    entry is ok where its sum is at least `floor` and its metric is finite
+    and positive."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        metric = sums * scale
+    return metric, (sums >= floor) & np.isfinite(metric) & (metric > 0.0)
+
+
+def _fast_metrics(drops, g, qs, a, b, workers=1):
+    """Approximated metric of the pairs (a[r], b[r]) at each q of `qs` by
+    the fast passes, and where it is trusted. The first m pairs are the
+    edge pairs (ej[f], ei[f]).
+
+    The drops are divided in place by the scale c of `_unit_scale` and
+    multiplied back by it before the return. On them the edge pairs take
+    the symmetric pass `_edge_pair_sums` and the other pairs the peak-free
+    row pass, `_pair_sums` with `peak` False; both give the plain sums over
+    edges of w |drop / c|^q, which `_trusted` turns into metrics and ok
+    entries with the floor m `_SUM_FLOOR`, times the largest weight where
+    that is above 1. A pair that `_unit_scale` rules out skips its pass and
+    comes back not ok; the symmetric pass, which takes every edge at once,
+    is skipped when it rules out every edge.
+    """
+    m = g.m
+    floor = m * max(1.0, g.w.max()) * _SUM_FLOOR
+    c, scale, live = _unit_scale(drops, g.w, qs, a, b, floor)
+    edge_sums = 0.0
+    if live.any():
         drops /= c
-        sums = _pair_sums(drops, w, qs, a[live], b[live], workers, peak=False)
+        if live[:m].any():
+            edge_sums = _edge_pair_sums(drops, g, qs, workers)
+    # made after the symmetric pass: made before, these arrays sit below
+    # its temporaries on the heap and raise the process's peak memory
+    sums = np.zeros((len(qs), a.size))
+    sums[:, :m] = edge_sums
+    rows = m + np.flatnonzero(live[m:])
+    if rows.size:
+        sums[:, rows] = _pair_sums(drops, g.w, qs, a[rows], b[rows], workers,
+                                   peak=False)
+    if live.any():
         drops *= c
-        with np.errstate(over="ignore", under="ignore"):
-            vals = sums * scale
-        metric[:, live] = vals
-        ok[:, live] = (sums >= floor) & np.isfinite(vals) & (vals > 0.0)
-    return metric, ok
+    metric, ok = _trusted(sums, scale, floor)
+    return metric, ok & live
 
 
-def _edge_pair_metrics(drops, g, qs, root, workers=1):
-    """Approximated metric of every edge pair (ej[f], ei[f]) at each q of
-    `qs`, and where it is exact to rounding.
+def _edge_pair_sums(drops, g, qs, workers=1):
+    """Plain sum over edges e of w[e] |T[f, e]|^q of every edge pair
+    (ej[f], ei[f]) at each q of `qs`, for drops scaled so that |T| <= 1.
 
     The drops of the edge pairs over the edges, T[f, e] = drops[ei[f], e] -
-    drops[ej[f], e], form the symmetric matrix C L+ C^T, and `root` is the
-    square root of its diagonal, the p = 2 resistances R of the edges. By
-    Cauchy-Schwarz |T[f, e]| <= root[f] root[e], so the scaled drops
-    T[f, e] / (root[f] root[e]) are symmetric and lie in [-1, 1], and the
-    metric of f is root[f]^q times the sum over e of v[e] |scaled drop|^q,
-    with v = w root^q held as logs shifted by their largest. Each scaled drop
-    of the strict upper triangle is logged once and exponentiated once per
-    q, and it adds to the sums of both its row and its column; the diagonal,
-    where T[f, f] = R[f], adds v[f].
+    drops[ej[f], e], form the symmetric matrix C L+ C^T. Each drop of its
+    strict upper triangle is logged once and exponentiated once per q, and
+    it adds to the sums of both its row and its column; the diagonal, the
+    scaled p = 2 resistances R of the edges, adds w |R|^q, taken with `**`.
 
     A strip of rows [s, t), about `_BLOCK_DROPS` entries of the upper
     triangle and at least one row, takes the columns right of it as one
@@ -537,31 +556,13 @@ def _edge_pair_metrics(drops, g, qs, root, workers=1):
     columns per q. Runs of strips go to `workers` threads, and this thread
     adds their products into the sums in strip order, so the sums do not
     depend on the thread count. The triangles left inside the strips'
-    squares follow as one gathered pass in chunks of `_BLOCK_DROPS`. An
-    entry is not ok when its metric is not finite and positive, or when
-    its sum is below m `_SUM_FLOOR`, where terms lost to underflow could
-    show.
-
-    The sum of f is at least its diagonal term v[f] and, its scaled drops
-    being at most 1, at most m, so the metric lies between w[f] R[f]^q and
-    m root[f]^q e^shift. Where that range lies above the float range the
-    metric overflows (or its sum is below the floor), and where it lies
-    below, the metric is 0. When at some q this holds for every edge, no
-    edge can be ok at every q: the pass is skipped and every entry comes
-    back not ok, so every edge takes the row path, as after the pass.
+    squares follow as one gathered pass in chunks of `_BLOCK_DROPS`.
     """
     m = g.m
-    ei, ej = g.ei, g.ej
-    inv = 1.0 / root
-    qlog = np.multiply.outer(qs, np.log(root))
-    logv = np.log(g.w) + qlog
-    shift = logv.max(axis=1)
-    lowest = logv + qlog
-    highest = qlog + (shift + np.log(m))[:, None]
-    if np.any(np.all((lowest > _LOG_HUGE) | (highest < _LOG_NIL), axis=1)):
-        return np.empty((len(qs), m)), np.zeros((len(qs), m), dtype=bool)
-    v = np.exp(logv - shift[:, None])
-    sums = v.copy()
+    ei, ej, w = g.ei, g.ej, g.w
+    edges = np.arange(m)
+    resist = np.abs(drops[ei, edges] - drops[ej, edges])
+    sums = w * resist ** np.array(qs)[:, None]
     bounds = [0]
     while bounds[-1] < m:
         s = bounds[-1]
@@ -575,21 +576,17 @@ def _edge_pair_metrics(drops, g, qs, root, workers=1):
         if not hasattr(local, "flat"):
             local.flat = np.empty(2 * max(_BLOCK_DROPS, m))
         out = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for s, t in run:
-                size = (t - s) * (m - t)
-                blk = local.flat[:size].reshape(t - s, m - t)
-                pw = local.flat[size : 2 * size].reshape(t - s, m - t)
-                _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
-                np.abs(blk, out=blk)
-                blk *= inv[s:t, None]
-                blk *= inv[t:]
-                logd = _log(blk)
-                strip = []
-                for k, q in enumerate(qs):
-                    np.exp(np.multiply(logd, q, out=pw), out=pw)
-                    strip.append((pw @ v[k, t:], v[k, s:t] @ pw))
-                out.append(strip)
+        for s, t in run:
+            size = (t - s) * (m - t)
+            blk = local.flat[:size].reshape(t - s, m - t)
+            pw = local.flat[size : 2 * size].reshape(t - s, m - t)
+            _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
+            logd = _log(np.abs(blk, out=blk))
+            strip = []
+            for q in qs:
+                np.exp(np.multiply(logd, q, out=pw), out=pw)
+                strip.append((pw @ w[t:], w[s:t] @ pw))
+            out.append(strip)
         return out
 
     # the last strip reaches column m and has no block right of it. A task
@@ -604,27 +601,23 @@ def _edge_pair_metrics(drops, g, qs, root, workers=1):
             for k, (row, col) in enumerate(strip):
                 sums[k, s:t] += row
                 sums[k, t:] += col
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (f, h) with f < h < the end of f's strip, walked in row order
-        count = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(m) - 1
-        tri_f = np.repeat(np.arange(m), count)
-        first = np.repeat(np.cumsum(count) - count, count)
-        tri_h = tri_f + 1 + np.arange(tri_f.size) - first
-        for c in range(0, tri_f.size, _BLOCK_DROPS):
-            f = tri_f[c : c + _BLOCK_DROPS]
-            h = tri_h[c : c + _BLOCK_DROPS]
-            x = np.abs(drops[ei[f], h] - drops[ej[f], h])
-            x *= inv[f]
-            x *= inv[h]
-            logd = _log(x)
-            for k, q in enumerate(qs):
-                pw = np.exp(logd * q)
-                sums[k] += np.bincount(f, pw * v[k, h], minlength=m)
-                sums[k] += np.bincount(h, pw * v[k, f], minlength=m)
-        with np.errstate(divide="ignore"):
-            metric = np.exp(np.log(sums) + qlog + shift[:, None])
-    ok = (sums >= m * _SUM_FLOOR) & np.isfinite(metric) & (metric > 0.0)
-    return metric, ok
+    # frees this thread's strip buffers before the triangle pass builds its
+    # indices, where the pass's memory peaks
+    del local
+    # (f, h) with f < h < the end of f's strip, walked in row order
+    count = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(m) - 1
+    tri_f = np.repeat(np.arange(m), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    tri_h = tri_f + 1 + np.arange(tri_f.size) - first
+    for c in range(0, tri_f.size, _BLOCK_DROPS):
+        f = tri_f[c : c + _BLOCK_DROPS]
+        h = tri_h[c : c + _BLOCK_DROPS]
+        logd = _log(np.abs(drops[ei[f], h] - drops[ej[f], h]))
+        for k, q in enumerate(qs):
+            pw = np.exp(logd * q)
+            sums[k] += np.bincount(f, pw * w[h], minlength=m)
+            sums[k] += np.bincount(h, pw * w[f], minlength=m)
+    return sums
 
 
 def _approx_form(metric, p, form):
@@ -726,18 +719,16 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
 
     At p = 2 the matrix takes its closed form. The other p share one pass
     over the pairs, from the edge drops of every L+ column gathered once.
-    The pairs that are edges take the symmetric kernel
-    `_edge_pair_metrics`, which scales the drops by the edges' p = 2
-    resistances and so logs each (edge, edge) drop once instead of twice.
-    The pairs that are not edges take the peak-free row pass
-    `_unit_pair_metrics`, which scales every drop in place by one power of
-    two, so that no pair drop exceeds 1, and needs no row max or divide
-    per block. A pair whose value from either underflows or overflows at
-    any p takes the row path `_approx_sums` at every p, which scales each
-    pair's drops by their peak, on the unscaled drops. So a complete graph
-    never enters the peak-free pass. All three walk blocks of about
-    `_BLOCK_DROPS` drops and take one log per drop and one exp per drop and
-    p.
+    `_fast_metrics` divides them in place by one power of two, so that no
+    pair drop exceeds 1, and on them the pairs that are edges take the
+    symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop
+    once instead of twice, and the other pairs the peak-free row pass,
+    which needs no row max or divide per block. A pair whose value either
+    pass's rules do not trust at some p takes the row path `_approx_sums`
+    at every p, which scales each pair's drops by their peak, on the drops
+    multiplied back. So a complete graph never enters the peak-free pass.
+    All three walk blocks of about `_BLOCK_DROPS` drops and take one log
+    per drop and one exp per drop and p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -755,27 +746,18 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
         step = max(1, _BLOCK_DROPS // g.m)
         for v in range(0, n, step):
             drops[v : v + step] -= np.take(Lp[v : v + step], g.ej, axis=1)
-        # the p = 2 resistance of each edge, read off these drops; should
-        # rounding leave one at or below 0, every pair takes the row path
-        edges = np.arange(g.m)
-        resist = drops[g.ei, edges] - drops[g.ej, edges]
         edge = np.zeros((n, n), dtype=bool)
         edge[g.ej, g.ei] = True
-        # the pairs left for the peak-scaled row path; a pair whose entry
-        # fails at any p stays here
-        rest = edge.copy()
-        if np.all(resist > 0.0):
-            metric, ok = _edge_pair_metrics(drops, g, qs, np.sqrt(resist),
-                                            workers)
-            keep = ok.all(axis=0)
-            upper[:, g.ej[keep], g.ei[keep]] = metric[:, keep]
-            rest[g.ej[keep], g.ei[keep]] = False
+        # the edge pairs (ej[f], ei[f]) first, then the other pairs
         a, b = np.nonzero(np.triu(~edge, 1))
-        if a.size:
-            metric, ok = _unit_pair_metrics(drops, g.w, qs, a, b, workers)
-            keep = ok.all(axis=0)
-            upper[:, a[keep], b[keep]] = metric[:, keep]
-            rest[a[~keep], b[~keep]] = True
+        a, b = np.concatenate([g.ej, a]), np.concatenate([g.ei, b])
+        metric, ok = _fast_metrics(drops, g, qs, a, b, workers)
+        keep = ok.all(axis=0)
+        upper[:, a[keep], b[keep]] = metric[:, keep]
+        # the pairs whose entry fails at some p take the peak-scaled row
+        # path, in row order
+        rest = np.zeros((n, n), dtype=bool)
+        rest[a[~keep], b[~keep]] = True
         a, b = np.nonzero(rest)
         upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
     out = []

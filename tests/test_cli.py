@@ -417,6 +417,16 @@ def test_cluster_on_malformed_matrix_file_exit_2(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
+def test_distances_rejects_a_nan_grad_tol(tmp_path, capsys):
+    # a NaN tolerance would flag every pair "not converged" and exit 1
+    out = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--mode", "exact", "--grad-tol", "nan", "--workers", "1",
+                "--out", out]) == 2
+    assert "InvalidP" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_distances_takes_no_solver_knobs_but_grad_tol(tmp_path):
     out = tmp_path / "d.bin"
     assert run(["distances", "--generate", "path:n=4", "--p", "3",

@@ -130,8 +130,10 @@ def test_stages_pinned():
 
 
 def test_solver_config_validation():
-    with pytest.raises(InvalidP):
-        SolverConfig(grad_tol=0.0)
+    # NaN fails as in `check_p`: `nan <= 0` is False, `nan > 0` too
+    for bad in (0.0, -1e-8, float("nan")):
+        with pytest.raises(InvalidP):
+            SolverConfig(grad_tol=bad)
 
 
 def test_exact_single_edge_inverse_weight():
@@ -750,10 +752,10 @@ def _row_peak_reference(g, pinv, q):
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("sigma", [1.0, 10.0])
 def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
-    # p = 1.001 is q = 1001: on half of iris at mu = 1 the symmetric scale
-    # underflows or overflows on nearly every edge pair, which then takes the
-    # row path. The reference scales each pair's drops by their peak, as the
-    # row path does; where it is finite and positive the kernel must agree
+    # p = 1.001 is q = 1001: on half of iris at mu = 1 the fast passes'
+    # scale c^q overflows, so every edge pair takes the row path. The
+    # reference scales each pair's drops by their peak, as the row path
+    # does; where it is finite and positive the kernel must agree
     ds = load_features(iris_csv, has_labels=True, label_column="last")
     half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
     g = knn_gaussian_graph(half, GraphBuildParams(mu=1.0, sigma=sigma))
@@ -821,17 +823,26 @@ def test_peak_free_pass_rejects_sums_below_the_floor():
     # three rows of drops over two edges; the largest is 0.3, so the scale
     # is c = 1. Pair (0, 1) drops 0.3 on both edges: at q = 602 its sum is
     # a subnormal 2.53e-315 that has kept only 8 digits, below the floor,
-    # though its bound from the rows' largest drops (0.6^602) is above it.
-    # Pair (0, 2) underflows to 0. Both are not ok at q = 602, and every
-    # ok entry matches its sum from the definition
+    # though its bound from the rows' largest drops (0.6^602) is above it,
+    # so the skip rule lets every pair in. Pair (0, 2) underflows to 0.
+    # Both are not ok at q = 602 under the trust rule, and every ok entry
+    # matches its sum from the definition
     drops = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
     before = drops.copy()
     w = np.array([1.0, 0.5])
     a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
     qs = (602.0, 3.0)
-    metric, ok = resistance._unit_pair_metrics(drops, w, qs, a, b)
-    assert ok.tolist() == [[False, False, True], [True, True, True]]
+    floor = 2 * resistance._SUM_FLOOR
+    c, scale, live = resistance._unit_scale(drops, w, qs, a, b, floor)
+    assert c == 1.0 and live.all()
     assert drops.tobytes() == before.tobytes()
+    # times 2^20 the bounds relative to c keep their values, but c^602
+    # overflows: no pair is let in
+    _, _, live = resistance._unit_scale(drops * 2.0**20, w, qs, a, b, floor)
+    assert not live.any()
+    sums = resistance._pair_sums(drops / c, w, qs, a, b, peak=False)
+    metric, ok = resistance._trusted(sums, scale, floor)
+    assert ok.tolist() == [[False, False, True], [True, True, True]]
     d = np.abs(before[a] - before[b])
     for k, q in enumerate(qs):
         want = d**q @ w
@@ -871,8 +882,8 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
         assert g.m < g.n * (g.n - 1) // 4
         ps = KERNEL_PS
     else:
-        # at q = 1001 nearly every edge pair fails its symmetric check and
-        # takes the row path; at p = 1.1 and 2.9 they pass
+        # at q = 1001 the fast passes' scale c^q overflows and every edge
+        # pair takes the row path; at p = 1.1 and 2.9 alone they would pass
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", 20000)
         g = _half_iris(iris_csv, 1.0, 1.0)
         ps = (1.001, 1.1, 2.9)
@@ -951,19 +962,19 @@ def test_distance_matrices_threads_keep_the_callers_error_state(iris_csv):
 @pytest.mark.parametrize("sigma", [0.01, 10.0])
 def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
                                                        monkeypatch):
-    # half of iris at mu = 1 and p = 1.001, q = 1001. At sigma = 0.01 every
-    # edge's symmetric metric lies below the smallest float, so the pass
-    # takes no log and every edge takes the row path, where the pass would
-    # have sent it. At sigma = 10 the metric of 292 edges could still be in
-    # range, but their sums fall below the floor: the pass has to run, and
-    # it rejects every edge. Skipped or not, the entries are the same
+    # half of iris at mu = 1 and p = 1.001, q = 1001. The scale c is 1/16
+    # at sigma = 0.01 and 1024 at sigma = 10, so c^q underflows to 0 or
+    # overflows: the skip rule rules out every edge, the fast passes take
+    # no log, and every edge takes the row path, where the symmetric pass
+    # would have sent it. Run anyway, that pass rejects every edge at
+    # q = 1001 under the trust rule and keeps them all at p = 1.1 and 2.9.
+    # Skipped or not, the entries are the same
     g = _half_iris(iris_csv, 1.0, sigma)
     pinv = laplacian_pinv(g)
     ps = (1.001, 1.1, 2.9)
     qs = tuple(conjugate_exponent(p) for p in ps)
     drops = np.take(pinv.matrix.T, g.ei, axis=1) - np.take(pinv.matrix.T, g.ej, axis=1)
-    edges = np.arange(g.m)
-    root = np.sqrt(drops[g.ei, edges] - drops[g.ej, edges])
+    before = drops.copy()
     got = [dm.matrix for dm in distance_matrices(g, ps, pinv)]
     logged = []
     log = resistance._log
@@ -973,20 +984,69 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
         return log(x)
 
     monkeypatch.setattr(resistance, "_log", counting_log)
-    _, ok = resistance._edge_pair_metrics(drops, g, qs, root)
-    if sigma == 0.01:
-        assert not logged and not ok.any()
-    else:
-        assert logged and not ok[0].any() and ok[1:].all()
-    # without the pre-test the pass runs, and rejects every edge at q = 1001
-    monkeypatch.setattr(resistance, "_LOG_HUGE", np.inf)
-    monkeypatch.setattr(resistance, "_LOG_NIL", -np.inf)
+    _, ok = resistance._fast_metrics(drops, g, qs, g.ej, g.ei)
+    assert not logged and not ok.any()
+    # at p = 1.1 and 2.9 alone the pass runs in place on the drops, keeps
+    # every edge and gives the drops back with their bytes
+    _, ok = resistance._fast_metrics(drops, g, qs[1:], g.ej, g.ei)
+    assert logged and ok.all()
+    assert drops.tobytes() == before.tobytes()
+    # without the skip rule the pass runs, and rejects every edge at q = 1001
+    floor = g.m * max(1.0, g.w.max()) * resistance._SUM_FLOOR
+    c, scale, live = resistance._unit_scale(drops, g.w, qs, g.ej, g.ei, floor)
+    assert not live.any()
     logged.clear()
-    _, ok = resistance._edge_pair_metrics(drops, g, qs, root)
+    sums = resistance._edge_pair_sums(drops / c, g, qs)
+    _, ok = resistance._trusted(sums, scale, floor)
     assert logged and not ok[0].any() and ok[1:].all()
+    unit_scale = resistance._unit_scale
+
+    def no_skip(*args):
+        c, scale, live = unit_scale(*args)
+        return c, scale, np.ones_like(live)
+
+    monkeypatch.setattr(resistance, "_unit_scale", no_skip)
     monkeypatch.setattr(resistance, "_log", log)
     for want, dm in zip(got, distance_matrices(g, ps, pinv)):
         assert dm.matrix.tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_edge_pairs_fall_back_where_the_pinv_is_wrong(iris_csv, monkeypatch):
+    # half of iris at mu = 1, sigma = 10: like that cell on all of iris
+    # (ROADMAP item 1) its L+ has dropped lambda_2 = 1.4e-14 and has rank
+    # n - 2. At p = 1.01 the sums of some edge pairs
+    # fall below the floor (207 of 2775 here) and those edges take the
+    # peak-scaled row path. At every p the entries agree with the
+    # peak-scaled reference on the same L+ wherever it is finite and
+    # positive
+    g = _half_iris(iris_csv, 1.0, 10.0)
+    pinv = laplacian_pinv(g)
+    calls = _recording_pair_sums(monkeypatch)
+    for p in (1.01, 1.1, 2.9, 100.0):
+        calls[True].clear()
+        got = distance_matrices(g, (p,), pinv)[0].matrix
+        if p == 1.01:
+            assert sum(a.size for a, _ in calls[True]) > 0
+        want = _row_peak_reference(g, pinv, conjugate_exponent(p))
+        good = np.isfinite(want) & (want > 0.0)
+        np.fill_diagonal(good, False)
+        assert good.sum() > g.m, p
+        assert np.all(np.abs(got[good] - want[good]) <= 1e-12 * want[good]), p
+
+
+def test_iris_grid_cells_send_no_pair_to_the_row_path(iris_csv, monkeypatch):
+    # the five connected cells of the benchmark's iris slices (mu = 1) at
+    # their slice p: every pair is an edge and the symmetric pass keeps
+    # them all
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    calls = _recording_pair_sums(monkeypatch)
+    for sigma, p in ((1e-3, 1.1), (1e-2, 10.0), (1e-1, 1.7), (1.0, 2.9),
+                     (10.0, 100.0)):
+        g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=sigma))
+        distance_matrices(g, (p,))
+        assert sum(a.size for a, _ in calls[True]) == 0, sigma
+        assert not calls[False], sigma
 
 
 def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
