@@ -111,7 +111,13 @@ def _load_graph(args):
 
 
 def _parse_grid(text):
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    grid = []
+    for tok in filter(None, map(str.strip, text.split(","))):
+        try:
+            grid.append(float(tok))
+        except ValueError:
+            raise errors.InvalidParams(f"grid value {tok!r} is not a number") from None
+    return tuple(grid)
 
 
 def cmd_build_graph(args):

@@ -16,8 +16,9 @@ once (a vertex-by-edges array) and divides them in place by one power of
 two, so that no pair drop exceeds 1. On those scaled drops two fast passes
 give the plain sums over edges of w |drop|^q: the pairs that are edges take
 the symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop once
-for both of its edges, and the other pairs the peak-free row pass, one log
-per drop and one exp and one product per drop and p, in cache-sized blocks.
+for both of its edges, a strip of edges and its square per block, and the
+other pairs the peak-free row pass, one log per drop and one exp and one
+product per drop and p, in cache-sized blocks.
 Both passes share one scale, one trust rule (`_trusted`) and one skip rule
 (`_unit_scale`) in `_fast_metrics`. A pair that either rule rejects at any
 p of the grid takes the peak-scaled row path `_approx_sums` instead, at
@@ -546,28 +547,33 @@ def _edge_pair_sums(drops, g, qs, workers=1):
 
     The drops of the edge pairs over the edges, T[f, e] = drops[ei[f], e] -
     drops[ej[f], e], form the symmetric matrix C L+ C^T. Each drop of its
-    strict upper triangle is logged once and exponentiated once per q, and
-    it adds to the sums of both its row and its column; the diagonal, the
-    scaled p = 2 resistances R of the edges, adds w |R|^q, taken with `**`.
+    strict upper triangle is exponentiated once per q, and it adds to the
+    sums of both its row and its column; the diagonal, the scaled p = 2
+    resistances R of the edges, adds w |R|^q, taken with `**`.
 
-    A strip of rows [s, t), about `_BLOCK_DROPS` entries of the upper
-    triangle and at least one row, takes the columns right of it as one
-    block, with one matrix-vector product into its rows and one into its
-    columns per q. Runs of strips go to `workers` threads, and this thread
-    adds their products into the sums in strip order, so the sums do not
-    depend on the thread count. The triangles left inside the strips'
-    squares follow as one gathered pass in chunks of `_BLOCK_DROPS`.
+    A strip of rows [s, t), about `_BLOCK_DROPS` entries and at least one
+    row, takes the columns [s, m) as one block, with one matrix-vector
+    product into its rows and one into its columns per q. The block's
+    entries on and below the diagonal of its square [s, t) are logged as 1s
+    and zeroed after each exp: a zero would log to -inf, whose exp is
+    several times slower. Runs of strips go to `workers` threads, and this
+    thread adds their products into the sums in strip order, so the sums do
+    not depend on the thread count.
     """
     m = g.m
     ei, ej, w = g.ei, g.ej, g.w
     edges = np.arange(m)
     resist = np.abs(drops[ei, edges] - drops[ej, edges])
     sums = w * resist ** np.array(qs)[:, None]
-    bounds = [0]
-    while bounds[-1] < m:
-        s = bounds[-1]
-        bounds.append(min(m, s + max(1, _BLOCK_DROPS // (m - s))))
-    bounds = np.array(bounds)
+    strips = []
+    s = 0
+    while s < m:
+        t = min(m, s + max(1, _BLOCK_DROPS // (m - s)))
+        strips.append((s, t))
+        s = t
+    # the squares' lower triangles, diagonal included, as views of one mask
+    k_max = max(t - s for s, t in strips)
+    lower = np.tri(k_max, dtype=bool)
     local = threading.local()
 
     def products(run):
@@ -577,46 +583,33 @@ def _edge_pair_sums(drops, g, qs, workers=1):
             local.flat = np.empty(2 * max(_BLOCK_DROPS, m))
         out = []
         for s, t in run:
-            size = (t - s) * (m - t)
-            blk = local.flat[:size].reshape(t - s, m - t)
-            pw = local.flat[size : 2 * size].reshape(t - s, m - t)
-            _drop_rows(drops, ei[s:t], ej[s:t], t, blk)
-            logd = _log(np.abs(blk, out=blk))
+            k = t - s
+            size = k * (m - s)
+            blk = local.flat[:size].reshape(k, m - s)
+            pw = local.flat[size : 2 * size].reshape(k, m - s)
+            below = lower[:k, :k]
+            _drop_rows(drops, ei[s:t], ej[s:t], s, blk)
+            np.abs(blk, out=blk)
+            np.copyto(blk[:, :k], 1.0, where=below)
+            logd = _log(blk)
             strip = []
             for q in qs:
                 np.exp(np.multiply(logd, q, out=pw), out=pw)
-                strip.append((pw @ w[t:], w[s:t] @ pw))
+                np.copyto(pw[:, :k], 0.0, where=below)
+                strip.append((pw @ w[s:], w[s:t] @ pw))
             out.append(strip)
         return out
 
-    # the last strip reaches column m and has no block right of it. A task
-    # takes strips for at least two (strip, q) products: at one q, a task
-    # per strip cost 8% more kernel time in hand-offs on iris, and each
+    # a task takes strips for at least two (strip, q) products: at one q, a
+    # task per strip cost 8% more kernel time in hand-offs on iris, and each
     # more strip per task holds one more column product per q in flight
-    strips = [(s, t) for s, t in zip(bounds[:-1], bounds[1:]) if t < m]
     per_run = -(-2 // len(qs))
     runs = [strips[c : c + per_run] for c in range(0, len(strips), per_run)]
     for run, out in zip(runs, _ordered_map(products, runs, workers)):
         for (s, t), strip in zip(run, out):
             for k, (row, col) in enumerate(strip):
                 sums[k, s:t] += row
-                sums[k, t:] += col
-    # frees this thread's strip buffers before the triangle pass builds its
-    # indices, where the pass's memory peaks
-    del local
-    # (f, h) with f < h < the end of f's strip, walked in row order
-    count = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(m) - 1
-    tri_f = np.repeat(np.arange(m), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    tri_h = tri_f + 1 + np.arange(tri_f.size) - first
-    for c in range(0, tri_f.size, _BLOCK_DROPS):
-        f = tri_f[c : c + _BLOCK_DROPS]
-        h = tri_h[c : c + _BLOCK_DROPS]
-        logd = _log(np.abs(drops[ei[f], h] - drops[ej[f], h]))
-        for k, q in enumerate(qs):
-            pw = np.exp(logd * q)
-            sums[k] += np.bincount(f, pw * w[h], minlength=m)
-            sums[k] += np.bincount(h, pw * w[f], minlength=m)
+                sums[k, s:] += col
     return sums
 
 

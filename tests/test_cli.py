@@ -135,6 +135,23 @@ def test_nan_p_exits_2(tmp_path, argv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--features", "x.csv", "--mu-grid", "1.0,x"],
+    ["bench", "--features", "x.csv", "--sigma-grid", "1.0,x"],
+    ["bench", "--features", "x.csv", "--p-grid", "1.5,x"],
+    ["bound", "--generate", "cycle:n=6", "--p-grid", "1.5,x"],
+    ["ratio", "--generate", "cycle:n=6", "--p-grid", "1.5,x", "--pairs", "2"],
+], ids=["bench_mu", "bench_sigma", "bench_p", "bound", "ratio"])
+def test_malformed_grid_value_exits_2(tmp_path, iris_csv, argv, capsys):
+    argv = [iris_csv if a == "x.csv" else a for a in argv]
+    out = tmp_path / "out"
+    flag = "--out-dir" if argv[0] == "bench" else "--out"
+    assert run(argv + [flag, out]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidParams" in err and "'x'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("extra", [["--pairs", "0"], ["--p-grid", ""]],
                          ids=["no_pairs", "no_p"])
 def test_ratio_without_rows_exits_2(tmp_path, extra, capsys):

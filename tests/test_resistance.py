@@ -1,6 +1,7 @@
 import inspect
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -672,8 +673,8 @@ def test_distance_matrices_match_pinv_reference_random_graphs():
 @pytest.mark.parametrize("block", [None, 200])
 def test_distance_matrices_match_pinv_reference_complete_graphs(block, monkeypatch):
     # every pair is an edge. K_12 has 66 edges: the default block takes them
-    # as one strip, all in the triangle pass; 200 drops make strips of 3 to
-    # 66 rows with a block right of each
+    # as one strip, one square; 200 drops make strips of 3 to 12 rows, each
+    # with its square and the block right of it
     if block:
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
     g = generate("complete", n=12)
@@ -913,8 +914,7 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
 
 
 def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
-    # with more than one worker the strips are logged on pool threads, and
-    # only the triangle pass on the calling thread
+    # with more than one worker every strip is logged on a pool thread
     monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
     g = generate("complete", n=12)
     threads = []
@@ -926,7 +926,7 @@ def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
 
     monkeypatch.setattr(resistance, "_log", recording_log)
     distance_matrices(g, (3.0,), workers=2)
-    assert len(set(threads) - {threading.get_ident()}) >= 1
+    assert threads and threading.get_ident() not in threads
     threads.clear()
     distance_matrices(g, (3.0,), workers=1)
     assert set(threads) == {threading.get_ident()}
@@ -1051,8 +1051,10 @@ def test_iris_grid_cells_send_no_pair_to_the_row_path(iris_csv, monkeypatch):
 
 def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     # on a complete graph every pair is an edge: the kernel logs each
-    # (edge, edge) drop of the strict upper triangle once, m (m - 1) / 2
-    # logs however many p, where the row path logs all m^2
+    # (edge, edge) drop of the strict upper triangle once however many p,
+    # and each strip of k rows logs the k (k + 1) / 2 entries of its square
+    # on and below the diagonal as 1s; with several strips that stays below
+    # the row path's m^2 logs
     g = generate("complete", n=24)
     m = g.m
     logged = []
@@ -1065,11 +1067,45 @@ def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     monkeypatch.setattr(resistance, "_log", counting_log)
     for block in (resistance._BLOCK_DROPS, 2000, 1):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
+        ks = []
+        s = 0
+        while s < m:
+            ks.append(min(m - s, max(1, block // (m - s))))
+            s += ks[-1]
+        want = m * (m - 1) // 2 + sum(k * (k + 1) // 2 for k in ks)
+        assert len(ks) > 1 and want < m * m, block
         for ps in ((3.0,), (1.5, 2.0, 3.0, 10.0)):
             logged.clear()
             distance_matrices(g, ps)
-            assert sum(logged) <= m * (m + 1) // 2, (block, ps)
-            assert sum(logged) == m * (m - 1) // 2
+            assert len(logged) == len(ks), (block, ps)
+            assert sum(logged) == want, (block, ps)
+
+
+def test_edge_pair_sums_work_in_a_few_blocks(iris_csv, monkeypatch):
+    # full iris is complete, m = 11175: at one worker the symmetric pass
+    # holds its strip buffers, the sums and a few strips' products, not
+    # index arrays over every entry of the strips' squares
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
+    pinv = laplacian_pinv(g)
+    peaks = []
+    edge_pair_sums = resistance._edge_pair_sums
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        sums = edge_pair_sums(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - entry)
+        return sums
+
+    monkeypatch.setattr(resistance, "_edge_pair_sums", measured)
+    tracemalloc.start()
+    try:
+        distance_matrices(g, (2.9,), pinv, workers=1)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1
+    assert peaks[0] <= 6 * resistance._BLOCK_DROPS * 8, peaks
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
