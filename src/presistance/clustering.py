@@ -134,25 +134,43 @@ def _pam_swap(D, centers):
     return centers, _pam_objective(D, centers), iterations
 
 
-def k_medoids(D, k, seed=0, restarts=1):
+def pam_build_run(D, k):
+    """The first run of `k_medoids(D, k)`: PAM SWAP from the BUILD
+    initialization, as (centers, objective, iterations). It does not depend
+    on the seed, so a caller clustering one matrix under many seeds
+    computes it once and passes it to each call as `build`."""
+    D, _ = _check_distance_input(D, k)
+    centers, obj, iterations = _pam_swap(D, _pam_build(D, k))
+    return tuple(centers), obj, iterations
+
+
+def k_medoids(D, k, seed=0, restarts=1, build=None):
     """PAM k-medoids on a symmetric zero-diagonal distance matrix.
 
     The first run starts from the deterministic BUILD initialization; any
     additional restarts start from seeded random center subsets. The best
     run by objective wins (ties to the earliest run). Deterministic given
     (seed, restarts).
+
+    `build` must be `pam_build_run(D, k)` of this same matrix, the first
+    run, computed when left out. Only its number of centers is checked: a
+    run of another matrix with the same k gives a wrong result.
     """
     D, n = _check_distance_input(D, k)
     if restarts < 1:
         raise InvalidK("restarts must be at least 1")
+    if build is None:
+        build = pam_build_run(D, k)
+    elif len(build[0]) != k:
+        raise InvalidK(f"the BUILD run has {len(build[0])} centers, k is {k}")
     rng = np.random.default_rng(seed)
     best = None
     for run in range(restarts):
         if run == 0:
-            init = _pam_build(D, k)
+            centers, obj, iterations = build
         else:
             init = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-        centers, obj, iterations = _pam_swap(D, init)
+            centers, obj, iterations = _pam_swap(D, init)
         if best is None or obj < best[0] - 1e-12:
             best = (obj, centers, iterations)
     obj, centers, iterations = best

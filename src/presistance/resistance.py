@@ -328,7 +328,9 @@ def _checked_pinv(pinv, g):
 
 
 # drops per block of pairs in the all-pairs kernel: the block and its one
-# exp temporary stay in cache while every p of the grid passes over them
+# exp temporary stay in cache while every p of the grid passes over them.
+# A strip of the symmetric edge pass at a single p needs no temporary, as
+# its exp works in place, and takes twice this many
 _BLOCK_DROPS = 1 << 16
 
 # the fast passes trust a sum of at least m times this, times the largest
@@ -551,24 +553,30 @@ def _edge_pair_sums(drops, g, qs, workers=1):
     sums of both its row and its column; the diagonal, the scaled p = 2
     resistances R of the edges, adds w |R|^q, taken with `**`.
 
-    A strip of rows [s, t), about `_BLOCK_DROPS` entries and at least one
-    row, takes the columns [s, m) as one block, with one matrix-vector
-    product into its rows and one into its columns per q. The block's
-    entries on and below the diagonal of its square [s, t) are logged as 1s
-    and zeroed after each exp: a zero would log to -inf, whose exp is
-    several times slower. Runs of strips go to `workers` threads, and this
-    thread adds their products into the sums in strip order, so the sums do
-    not depend on the thread count.
+    A strip of rows [s, t), at least one row, takes the columns [s, m) as
+    one block, with one matrix-vector product into its rows and one into
+    its columns per q. Each thread holds 2 `_BLOCK_DROPS` floats for its
+    strips: with several q a strip of about `_BLOCK_DROPS` entries keeps
+    its logs in one half and each q's powers in the other, and at one q
+    the power is taken in place over the logs, so a strip fills the whole
+    budget and there are half as many. The block's entries on and below
+    the diagonal of its square [s, t) are logged as 1s and zeroed after
+    each exp: a zero would log to -inf, whose exp is several times slower.
+    Runs of strips go to `workers` threads, and this thread adds their
+    products into the sums in strip order, so the sums do not depend on the
+    thread count.
     """
     m = g.m
     ei, ej, w = g.ei, g.ej, g.w
     edges = np.arange(m)
     resist = np.abs(drops[ei, edges] - drops[ej, edges])
     sums = w * resist ** np.array(qs)[:, None]
+    one_q = len(qs) == 1
+    budget = _BLOCK_DROPS * (2 if one_q else 1)
     strips = []
     s = 0
     while s < m:
-        t = min(m, s + max(1, _BLOCK_DROPS // (m - s)))
+        t = min(m, s + max(1, budget // (m - s)))
         strips.append((s, t))
         s = t
     # the squares' lower triangles, diagonal included, as views of one mask
@@ -586,7 +594,7 @@ def _edge_pair_sums(drops, g, qs, workers=1):
             k = t - s
             size = k * (m - s)
             blk = local.flat[:size].reshape(k, m - s)
-            pw = local.flat[size : 2 * size].reshape(k, m - s)
+            pw = blk if one_q else local.flat[size : 2 * size].reshape(k, m - s)
             below = lower[:k, :k]
             _drop_rows(drops, ei[s:t], ej[s:t], s, blk)
             np.abs(blk, out=blk)
@@ -720,8 +728,9 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     pass's rules do not trust at some p takes the row path `_approx_sums`
     at every p, which scales each pair's drops by their peak, on the drops
     multiplied back. So a complete graph never enters the peak-free pass.
-    All three walk blocks of about `_BLOCK_DROPS` drops and take one log
-    per drop and one exp per drop and p.
+    All three walk blocks of about `_BLOCK_DROPS` drops (twice that in a
+    strip of the symmetric pass at a single p) and take one log per drop
+    and one exp per drop and p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)

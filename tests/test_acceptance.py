@@ -13,6 +13,7 @@ analysis:
     former).
 """
 
+import hashlib
 import itertools
 import os
 import time
@@ -402,6 +403,18 @@ def test_criterion_10_end_to_end_iris(iris_csv):
     assert best_p["error_mean"] <= 0.12
     assert best_p["error_mean"] < best_2["error_mean"]
     assert elapsed < 1800
+    # the "same behaviour" contract of the paper grid: every record's bytes
+    # and both best configurations
+    assert hashlib.sha256(result.results_csv().encode()).hexdigest() == (
+        "372841f370c62486d2f1e3754bd039518d80843eaf3c5f9f8bd7cae0f62939a9"
+    )
+    cell = {"mu": 1.0, "error_sd": 0.0, "repetitions": 10}
+    assert result.best == {
+        "kmed_approx": {"sigma": 0.01, "p": 10.0,
+                        "error_mean": 0.06666666666666665, **cell},
+        "kmed_p2": {"sigma": 1.0, "p": 0.0,
+                    "error_mean": 0.32666666666666666, **cell},
+    }
 
 
 @pytest.mark.skipif(

@@ -13,7 +13,7 @@ from presistance import (
     k_medoids,
     sc2_baseline,
 )
-from presistance.clustering import _pam_build, _pam_pick, _pam_swap
+from presistance.clustering import _pam_build, _pam_pick, _pam_swap, pam_build_run
 from presistance.errors import InvalidK, LengthMismatch, NonFinite
 
 
@@ -90,6 +90,27 @@ def test_kmedoids_restarts_never_worse():
     single = k_medoids(D, 4, seed=2, restarts=1)
     multi = k_medoids(D, 4, seed=2, restarts=6)
     assert multi.objective <= single.objective + 1e-12
+
+
+def test_kmedoids_takes_a_precomputed_build_run():
+    # the first run does not depend on the seed: passed in, it gives the
+    # same result as the run k_medoids computes itself, at every seed
+    rng = np.random.default_rng(3)
+    pts = rng.standard_normal((25, 2))
+    D = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    run = pam_build_run(D, 3)
+    centers, obj, iterations = _pam_swap(D, _pam_build(D, 3))
+    assert run == (tuple(centers), obj, iterations)
+    for seed in range(5):
+        a = k_medoids(D, 3, seed=seed, restarts=3)
+        b = k_medoids(D, 3, seed=seed, restarts=3, build=run)
+        assert np.array_equal(a.assignments, b.assignments)
+        assert (a.centers, a.objective, a.iterations) == (
+            b.centers, b.objective, b.iterations)
+    # a run for another k is rejected
+    for k in (2, 4):
+        with pytest.raises(InvalidK, match="BUILD run"):
+            k_medoids(D, k, build=run)
 
 
 def _naive_swap(D, centers):

@@ -13,6 +13,7 @@ from presistance import (
     conjugate_exponent,
     distance_matrices,
     distance_matrix,
+    error_rate,
     generate,
     knn_gaussian_graph,
     laplacian_pinv,
@@ -30,7 +31,7 @@ from presistance.errors import (
     ParseError,
     RaggedRows,
 )
-from presistance import pipeline, resistance
+from presistance import clustering, pipeline, resistance
 from presistance.pipeline import ratio_rows_csv
 
 from conftest import reference_components, reference_knn_edges
@@ -176,6 +177,39 @@ def test_knn_matches_set_based_reference_with_duplicate_rows():
                 assert_knn_matches_reference(ds, mu, sigma, symmetrization)
 
 
+def _knn_outcome(ds, params):
+    try:
+        g = knn_gaussian_graph(ds, params)
+    except Disconnected as exc:
+        return type(exc).__name__, str(exc)
+    return g.n, g.kept, g.ei.tobytes(), g.ej.tobytes(), g.w.tobytes()
+
+
+@pytest.mark.parametrize("symmetrization", ["union", "mutual"])
+def test_knn_reads_the_cached_ranking_like_a_fresh_one(iris_csv, symmetrization):
+    # one dataset ranks its neighbors once for every cell: each paper cell
+    # gets the edges, weights and failure of a dataset ranked for it alone
+    ds = load_features(iris_csv, has_labels=True)
+    for mu in PAPER_MU:
+        for sigma in PAPER_SIGMA:
+            params = GraphBuildParams(mu=mu, sigma=sigma,
+                                      symmetrization=symmetrization)
+            fresh = FeatureDataset(X=ds.X, labels=ds.labels)
+            assert _knn_outcome(ds, params) == _knn_outcome(fresh, params)
+
+
+def test_feature_dataset_holds_a_read_only_copy():
+    # the cached ranking stays that of X: the caller's array can change,
+    # the dataset's cannot
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+    ds = FeatureDataset(X=X, labels=None)
+    before = _knn_outcome(ds, GraphBuildParams(mu=0.5, sigma=1.0))
+    X[1] = 10.0
+    assert _knn_outcome(ds, GraphBuildParams(mu=0.5, sigma=1.0)) == before
+    with pytest.raises(ValueError):
+        ds.X[0, 0] = 1.0
+
+
 def test_knn_param_validation():
     ds = FeatureDataset(X=np.zeros((10, 2)), labels=None)
     with pytest.raises(InvalidParams):
@@ -243,6 +277,33 @@ def test_bench_grid_builds_each_p_once(monkeypatch):
         for seed in (0, 1):
             assert (errors[("kmed_p2", sigma, 0.0, seed)]
                     == errors[("kmed_approx", sigma, 2.0, seed)])
+
+
+def test_bench_grid_runs_build_once_per_matrix(monkeypatch):
+    # the BUILD run does not depend on the seed: each (graph, matrix) runs
+    # it once for all its k-medoids repetitions (kmed_p2 and kmed_approx at
+    # p = 2 share a matrix), and every record is that of a k_medoids call
+    # that runs its own
+    builds = []
+    pam_build = clustering._pam_build
+
+    def counting_build(D, k):
+        builds.append(k)
+        return pam_build(D, k)
+
+    monkeypatch.setattr(clustering, "_pam_build", counting_build)
+    ds = labeled_blobs()
+    result = bench_grid(
+        ds, mu_grid=(1.0,), sigma_grid=(0.1, 1.0), p_grid=(2.0, 3.0),
+        methods=("kmed_approx", "kmed_p2"), repetitions=4, seed=5,
+    )
+    assert builds == [2] * 4
+    assert len(result.records) == 2 * 3 * 4
+    for r in result.records:
+        g = knn_gaussian_graph(ds, GraphBuildParams(mu=r.mu, sigma=r.sigma))
+        D = distance_matrix(g, r.p or 2.0).matrix
+        res = clustering.k_medoids(D, 2, seed=r.seed, restarts=3)
+        assert r.error == error_rate(res.assignments, ds.labels).error_rate
 
 
 def test_bench_grid_reproducible_bytes():

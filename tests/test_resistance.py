@@ -913,6 +913,24 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
             assert not threads
 
 
+def test_one_p_strips_match_the_grid_and_any_thread_count(iris_csv):
+    # half of iris at mu = 1 is complete (m = 2775), so every pair takes
+    # the symmetric pass. A one-p call takes its powers in place and walks
+    # strips of twice the drops of a grid call: its sums add in another
+    # order, so its matrix agrees with the grid's to rounding, and it has
+    # the same bytes at any thread count
+    g = _half_iris(iris_csv, 1.0, 1.0)
+    assert g.m == g.n * (g.n - 1) // 2
+    pinv = laplacian_pinv(g)
+    ps = (1.1, 2.9, 10.0)
+    grid = distance_matrices(g, ps, pinv, workers=1)
+    for p, want in zip(ps, grid):
+        alone = [distance_matrices(g, (p,), pinv, workers=w)[0].matrix
+                 for w in (1, 2, 3)]
+        assert np.all(np.abs(alone[0] - want.matrix) <= 1e-13 * want.matrix), p
+        assert all(m.tobytes() == alone[0].tobytes() for m in alone[1:]), p
+
+
 def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
     # with more than one worker every strip is logged on a pool thread
     monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
@@ -1054,8 +1072,9 @@ def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     # (edge, edge) drop of the strict upper triangle once however many p,
     # and each strip of k rows logs the k (k + 1) / 2 entries of its square
     # on and below the diagonal as 1s; with several strips that stays below
-    # the row path's m^2 logs
-    g = generate("complete", n=24)
+    # the row path's m^2 logs. A strip at one q, whose powers need no
+    # second buffer, takes twice the drops of one at several q
+    g = generate("complete", n=40)
     m = g.m
     logged = []
     log = resistance._log
@@ -1067,14 +1086,15 @@ def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     monkeypatch.setattr(resistance, "_log", counting_log)
     for block in (resistance._BLOCK_DROPS, 2000, 1):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
-        ks = []
-        s = 0
-        while s < m:
-            ks.append(min(m - s, max(1, block // (m - s))))
-            s += ks[-1]
-        want = m * (m - 1) // 2 + sum(k * (k + 1) // 2 for k in ks)
-        assert len(ks) > 1 and want < m * m, block
         for ps in ((3.0,), (1.5, 2.0, 3.0, 10.0)):
+            budget = block * (2 if len(ps) == 1 else 1)
+            ks = []
+            s = 0
+            while s < m:
+                ks.append(min(m - s, max(1, budget // (m - s))))
+                s += ks[-1]
+            want = m * (m - 1) // 2 + sum(k * (k + 1) // 2 for k in ks)
+            assert len(ks) > 1 and want < m * m, block
             logged.clear()
             distance_matrices(g, ps)
             assert len(logged) == len(ks), (block, ps)
