@@ -244,11 +244,11 @@ def cmd_bound(args):
     if not ps:
         raise errors.InvalidParams("bound needs a p, got an empty p grid")
     g = _load_graph(args)
-    proj = edge_projector(g)
-    one_norm = matrix_op_pnorm(proj, 1).value
+    pinv = laplacian_pinv(g)
+    one_norm = matrix_op_pnorm(edge_projector(g, pinv), 1).value
     lines = ["p,alpha_estimate,worst_case,one_norm_ceiling,projector_one_norm"]
     for p in ps:
-        b = approximation_bound(g, p, seed=args.seed, projector=proj)
+        b = approximation_bound(g, p, seed=args.seed, pinv=pinv)
         lines.append(
             f"{p!r},{b.value!r},{b.worst_case!r},{b.one_norm_ceiling!r},{one_norm!r}"
         )

@@ -11,11 +11,12 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    FingerprintMismatch,
     InvalidP,
     NonFinite,
     SingularShift,
 )
-from .graph import incidence, laplacian
+from .graph import laplacian
 
 P_MIN = 1.0 + 1e-9
 # steps of each power iteration in `matrix_op_pnorm`
@@ -127,6 +128,18 @@ def laplacian_pinv(g):
     return LaplacianPinv(matrix=Lp, fingerprint=g.fingerprint())
 
 
+def _checked_pinv(pinv, g):
+    """`pinv` after checking it belongs to `g`; computed when None."""
+    if pinv is None:
+        return laplacian_pinv(g)
+    if pinv.fingerprint != g.fingerprint():
+        raise FingerprintMismatch(
+            "pseudoinverse was computed for a different graph "
+            f"({pinv.fingerprint} != {g.fingerprint()})"
+        )
+    return pinv
+
+
 @dataclass(frozen=True)
 class PNormEstimate:
     """Operator p-norm estimate; exact closed form when p is 1 or infinity."""
@@ -224,7 +237,8 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
 @dataclass(frozen=True)
 class ApproximationBound:
     """Operator p-norm of the weighted edge projector W^(1/p) P W^(-1/p),
-    where P = C L+ C^T W is the p = 2 flow map of `edge_projector`.
+    where P = C L+ C^T W is the p = 2 flow map of `edge_projector`, read off
+    the same checked `L+` the approximation uses.
 
     This factor governs how loose the pseudoinverse-based resistance
     approximation can get. `estimate` is the power-iteration value, a lower
@@ -256,34 +270,32 @@ class ApproximationBound:
         return min(self.estimate, self.ceiling)
 
 
-def edge_projector(g):
+def edge_projector(g, pinv=None):
     """C L+ C^T W, the p = 2 flow map of `g`: it sends edge drops to the
     drops of the potentials that fit them in the w-weighted least-squares
     sense, an oblique projector onto the image of the incidence matrix C.
-    One solve with L + J/n gives it, since C J = 0. On unit weights it is
-    the orthogonal projector C C+.
+    It is gathered from the checked `pinv` (computed when None), the same
+    `L+` every pair query reads: the edge drops of the `L+` columns, and
+    then their drops over each edge, times W. On unit weights it is the
+    orthogonal projector C C+.
     """
-    C = incidence(g)
-    return (C @ np.linalg.solve(laplacian(g) + 1.0 / g.n, C.T)) * g.w
+    Lp = _checked_pinv(pinv, g).matrix
+    drops = Lp[:, g.ei] - Lp[:, g.ej]
+    return (drops[g.ei] - drops[g.ej]) * g.w
 
 
-def approximation_bound(g, p, seed=0, projector=None):
+def approximation_bound(g, p, seed=0, pinv=None):
     """Estimate the approximation bound factor for a graph at exponent p.
 
-    `projector` must be `edge_projector(g)` of this same graph, computed
-    when left out; a sweep over p passes one in, as it does not depend on
-    p. Only its shape is checked: the ceilings are computed from it, so a
-    flow map of another graph with as many edges gives wrong ones. The
-    estimate is a lower bound on the true factor but at least 1 up to
-    floating-point noise: a vector from the projector's image (where the
-    map acts as the identity) is always among the starting vectors.
+    The flow map comes from `edge_projector(g, pinv)`, so a sweep over p
+    that passes one `pinv` factors the graph once, and a graph whose `L+`
+    fails raises as every pair query does. The estimate is a lower bound
+    on the true factor but at least 1 up to floating-point noise: a vector
+    from the projector's image (where the map acts as the identity) is
+    always among the starting vectors.
     """
     p = check_p(p)
-    if projector is None:
-        projector = edge_projector(g)
-    elif np.shape(projector) != (g.m, g.m):
-        raise DimensionMismatch(f"projector has shape {np.shape(projector)}, "
-                                f"expected ({g.m}, {g.m})")
+    projector = edge_projector(g, pinv)
     scale = g.w ** (1.0 / p)
     E = (scale[:, None] * projector) / scale[None, :]
     # the drops C (e_0 - e_{n-1}), scaled: in the image of E

@@ -35,7 +35,6 @@ from .numerics import (
     approximation_bound,
     check_p,
     conjugate_exponent,
-    edge_projector,
     laplacian_pinv,
 )
 from .resistance import (
@@ -170,8 +169,8 @@ class GraphBuildParams:
     def __post_init__(self):
         if not (0 < self.mu <= 1):
             raise InvalidParams(f"mu must be in (0, 1], got {self.mu}")
-        if self.sigma <= 0:
-            raise InvalidParams(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < np.inf):
+            raise InvalidParams(f"sigma must be positive and finite, got {self.sigma}")
         if self.symmetrization not in ("union", "mutual"):
             raise InvalidParams(f"unknown symmetrization {self.symmetrization!r}")
         if self.on_disconnect not in ("fail", "largest_component"):
@@ -410,15 +409,15 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
         if i != j:
             pairs.add((max(int(i), int(j)), min(int(i), int(j))))
     pairs = sorted(pairs)
+    # one L+ serves the bound, the approximate metrics and the exact
+    # solves; the metrics of every (p, pair) come from one pass over the
+    # pairs' drops
     pinv = laplacian_pinv(g)
-    # the flow map does not depend on p, and the approximate metrics of
-    # every (p, pair) come from one pass over the pairs' drops
-    projector = edge_projector(g)
     metrics = approx_metrics(g, p_grid, pairs, pinv)
     rows = []
     for p, metrics_at_p in zip(p_grid, metrics):
         q = conjugate_exponent(p)
-        bound = approximation_bound(g, p, seed=seed, projector=projector)
+        bound = approximation_bound(g, p, seed=seed, pinv=pinv)
         # the estimator is a lower estimate of the true factor; the emitted
         # hard ceiling is the rigorous one
         est_ceiling = max(bound.value, 1.0) ** q

@@ -45,10 +45,10 @@ from scipy.sparse.csgraph import dijkstra
 
 from .errors import DimensionMismatch, FingerprintMismatch, InvalidP
 from .numerics import (
+    _checked_pinv,
     _signed_power,
     check_p,
     conjugate_exponent,
-    laplacian_pinv,
 )
 
 # Test hook for the verification suite's negative control: when set, the
@@ -313,18 +313,6 @@ def _check_pair(g, i, j):
     """Raise `DimensionMismatch` unless i, j are distinct vertices of `g`."""
     if i == j or not (0 <= i < g.n and 0 <= j < g.n):
         raise DimensionMismatch(f"invalid pair ({i},{j}) for n={g.n}")
-
-
-def _checked_pinv(pinv, g):
-    """`pinv` after checking it belongs to `g`; computed when None."""
-    if pinv is None:
-        return laplacian_pinv(g)
-    if pinv.fingerprint != g.fingerprint():
-        raise FingerprintMismatch(
-            "pseudoinverse was computed for a different graph "
-            f"({pinv.fingerprint} != {g.fingerprint()})"
-        )
-    return pinv
 
 
 # drops per block of pairs in the all-pairs kernel: the block and its one

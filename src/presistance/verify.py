@@ -204,7 +204,7 @@ def suite_sandwich(seed=0):
         g = _random_connected(n, seed * 7 + c)
         pinv = laplacian_pinv(g)
         for p in (1.5, 2.0, 3.0, 5.0):
-            b = approximation_bound(g, p, seed=seed)
+            b = approximation_bound(g, p, seed=seed, pinv=pinv)
             if not (1 - 1e-9 <= b.estimate <= b.one_norm_ceiling + 1e-9):
                 fails.append(f"graph {c} p={p}: estimator outside [1, ceiling]")
             for i in range(n):

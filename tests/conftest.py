@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from presistance import cli, generate, numerics, pipeline
+from presistance import cli, generate, numerics, pipeline, verify
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -143,15 +143,17 @@ def reference_components(n, edges):
 
 
 @pytest.fixture
-def projector_builds(monkeypatch):
-    """The graphs `edge_projector` is called on, wherever it is called from."""
+def pinv_builds(monkeypatch):
+    """The graphs `laplacian_pinv` is called on, wherever it is called from:
+    every pair query and the bound layer compute a missing `L+` through
+    `numerics`, and the CLI, pipeline and verification suites by name."""
     calls = []
-    original = numerics.edge_projector
+    original = numerics.laplacian_pinv
 
     def counting(g):
         calls.append(g)
         return original(g)
 
-    for mod in (numerics, pipeline, cli):
-        monkeypatch.setattr(mod, "edge_projector", counting)
+    for mod in (numerics, pipeline, cli, verify):
+        monkeypatch.setattr(mod, "laplacian_pinv", counting)
     return calls

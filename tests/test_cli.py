@@ -90,14 +90,32 @@ def test_cluster_scores_kept_rows_of_restricted_graph(tmp_path):
                 "--out", out]) == 2
 
 
-def test_distances_exact_on_singular_graph_exit_2(tmp_path, iris_csv, capsys):
+def _singular_iris_graph(tmp_path, iris_csv):
+    """Iris at mu = 1, sigma = 100: both pseudoinverse routes fail on it."""
     ds = load_features(iris_csv, has_labels=True)
     path = tmp_path / "g.edges"
     write_edge_list(knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=100.0)),
                     path)
+    return path
+
+
+def test_distances_exact_on_singular_graph_exit_2(tmp_path, iris_csv, capsys):
+    path = _singular_iris_graph(tmp_path, iris_csv)
     assert run(["distances", "--graph", path, "--p", "3", "--mode", "exact",
                 "--workers", "1", "--out", tmp_path / "d.bin"]) == 2
     assert "SingularShift" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["bound", "ratio"])
+def test_bound_layer_on_singular_graph_exit_2(tmp_path, iris_csv, capsys, subcommand):
+    # the flow map is read off the checked L+, so the bound layer fails
+    # where the pair queries do instead of writing ceilings near 1e17
+    path = _singular_iris_graph(tmp_path, iris_csv)
+    out = tmp_path / "out.csv"
+    assert run([subcommand, "--graph", path, "--p-grid", "1.5,3",
+                "--out", out]) == 2
+    assert "SingularShift" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_build_graph_missing_file_exit_2(tmp_path):
@@ -277,10 +295,10 @@ def test_bound_cycle(tmp_path):
     assert est_p2 == pytest.approx(1.0, abs=1e-9)
 
 
-def test_bound_builds_one_flow_map(tmp_path, projector_builds):
+def test_bound_computes_one_pinv(tmp_path, pinv_builds):
     assert run(["bound", "--generate", "cycle:n=20", "--p-grid", "1.5,2.0,5.0",
                 "--out", tmp_path / "b.csv"]) == 0
-    assert len(projector_builds) == 1
+    assert len(pinv_builds) == 1
 
 
 def test_bound_estimate_at_p2_is_at_most_the_ceiling(tmp_path):
@@ -325,8 +343,9 @@ def test_bench_command(tmp_path, blob_csv):
     assert (out_dir / "timing.csv").exists()
 
 
-@pytest.mark.parametrize("mu, sigma", [("2.0", "1.0"), ("1.0", "-1")],
-                         ids=["bad_mu", "bad_sigma"])
+@pytest.mark.parametrize("mu, sigma", [("2.0", "1.0"), ("1.0", "-1"),
+                                       ("1.0", "nan"), ("1.0", "inf")],
+                         ids=["bad_mu", "bad_sigma", "nan_sigma", "inf_sigma"])
 def test_bench_bad_grid_exits_2(tmp_path, blob_csv, mu, sigma, capsys):
     out_dir = tmp_path / "bench"
     assert run(["bench", "--features", blob_csv, "--mu-grid", mu,

@@ -14,6 +14,7 @@ from presistance import (
 )
 from presistance.errors import (
     DimensionMismatch,
+    FingerprintMismatch,
     InvalidP,
     NonFinite,
 )
@@ -398,15 +399,31 @@ def test_bound_estimates_near_one_stay_in_range():
 @pytest.mark.parametrize("g", [
     generate("gnp_connected", n=40, edge_prob=0.2, seed=3), WEIGHTED["cycle10"],
 ], ids=["gnp40", "cycle10"])
-def test_approximation_bound_takes_a_precomputed_projector(g):
-    P = edge_projector(g)
+def test_approximation_bound_takes_a_precomputed_pinv(g):
+    pinv = laplacian_pinv(g)
     for p in (1.1, 1.5, 2.0, 2.9, 10.0):
-        assert approximation_bound(g, p, seed=1, projector=P) == \
+        assert approximation_bound(g, p, seed=1, pinv=pinv) == \
             approximation_bound(g, p, seed=1)
 
 
-def test_approximation_bound_rejects_a_projector_of_another_shape():
-    g = generate("cycle", n=6)
-    other = edge_projector(generate("cycle", n=7))
-    with pytest.raises(DimensionMismatch):
-        approximation_bound(g, 3.0, projector=other)
+def test_approximation_bound_rejects_a_pinv_of_another_graph():
+    # the same shape but other weights: only the fingerprint tells them apart
+    g = WEIGHTED["cycle6"]
+    other = laplacian_pinv(generate("cycle", n=6))
+    with pytest.raises(FingerprintMismatch):
+        approximation_bound(g, 3.0, pinv=other)
+    with pytest.raises(FingerprintMismatch):
+        edge_projector(g, other)
+
+
+def test_bound_is_one_on_weighted_trees():
+    # on a tree every edge vector is a potential drop, so the flow map is
+    # the identity, the approximation is exact and the ceiling is 1
+    for seed in range(20):
+        g = generate("random_tree", n=12 + seed, seed=seed, weight_range=(0.5, 2))
+        pinv = laplacian_pinv(g)
+        assert np.abs(edge_projector(g, pinv) - np.eye(g.m)).max() <= 1e-12, seed
+        for p in (1.1, 1.5, 3.0, 10.0):
+            b = approximation_bound(g, p, seed=seed, pinv=pinv)
+            assert b.ceiling == pytest.approx(1.0, rel=0, abs=1e-12), (seed, p)
+            assert b.estimate == pytest.approx(1.0, rel=0, abs=1e-12), (seed, p)

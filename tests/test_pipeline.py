@@ -369,7 +369,9 @@ def test_bench_grid_checks_every_cell_before_the_first(monkeypatch):
     built = []
     monkeypatch.setattr(pipeline, "knn_gaussian_graph",
                         lambda ds, params: built.append(params))
-    for mu_grid, sigma_grid in (((1.0, 2.0), (1.0,)), ((1.0,), (1.0, -1.0))):
+    for mu_grid, sigma_grid in (((1.0, 2.0), (1.0,)), ((1.0,), (1.0, -1.0)),
+                                ((1.0,), (1.0, float("nan"))),
+                                ((1.0,), (1.0, float("inf")))):
         with pytest.raises(InvalidParams):
             bench_grid(labeled_blobs(), mu_grid=mu_grid, sigma_grid=sigma_grid,
                        p_grid=(3.0,), methods=("kmed_approx",), repetitions=1)
@@ -438,10 +440,12 @@ def test_ratio_sweep_p2_exact_and_bounds():
     assert len(csv_text.splitlines()) == len(rows) + 1
 
 
-def test_ratio_sweep_builds_one_flow_map_per_graph(projector_builds):
+def test_ratio_sweep_computes_one_pinv_per_graph(pinv_builds):
+    # the bound at every p, the approximate metrics and the exact solves
+    # all read the one L+ the sweep computes
     g = generate("gnp_connected", n=12, edge_prob=0.4, seed=2)
     ratio_sweep(g, (1.5, 2.0, 2.9, 10.0), sample_pairs=3, seed=0)
-    assert projector_builds == [g]
+    assert pinv_builds == [g]
 
 
 def test_ratio_sweep_approximate_values_are_approx_metric():

@@ -1265,20 +1265,13 @@ def test_exact_route_fails_a_singular_graph(iris_csv):
         ssl_solve(g, 3.0, 0, 149)
 
 
-def test_exact_distance_matrix_computes_one_pinv(monkeypatch):
+def test_exact_distance_matrix_computes_one_pinv(pinv_builds):
     g = random_connected(8, 31)
     pinv = laplacian_pinv(g)
-    calls = []
-
-    def counted(graph):
-        calls.append(graph)
-        return laplacian_pinv(graph)
-
-    monkeypatch.setattr(resistance, "laplacian_pinv", counted)
     computed = distance_matrix(g, 3.0, mode="exact", cfg=TIGHT, workers=1)
-    assert len(calls) == 1
+    assert pinv_builds == [g]
     passed = distance_matrix(g, 3.0, mode="exact", cfg=TIGHT, pinv=pinv, workers=1)
-    assert len(calls) == 1
+    assert pinv_builds == [g]
     assert np.array_equal(computed.matrix, passed.matrix)
 
 
