@@ -53,17 +53,24 @@ from .verify import FAULTS, clear_faults, inject_fault, run_suites
 
 
 def _resolve_workers(workers):
-    if workers is not None:
-        return workers
-    env = os.environ.get("PRESISTANCE_WORKERS")
-    if env:
+    """The worker count of `distances`: `--workers`, else a set
+    `PRESISTANCE_WORKERS`, else the cores available. A count below 1 from
+    either source, or a variable that is not an integer, is an error."""
+    source = "--workers"
+    if workers is None:
+        env = os.environ.get("PRESISTANCE_WORKERS")
+        if not env:
+            return available_cores()
+        source = "PRESISTANCE_WORKERS"
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise errors.InvalidParams(
                 f"PRESISTANCE_WORKERS must be an integer, got {env!r}"
             ) from None
-    return available_cores()
+    if workers < 1:
+        raise errors.InvalidParams(f"{source} must be at least 1, got {workers}")
+    return workers
 
 
 def _run_config(args):

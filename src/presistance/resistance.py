@@ -11,14 +11,16 @@ serves every pair of both routes. Each route has one kernel: `_edge_kernel` for
 the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
 for the approximate metric of one pair or of a block of pairs at every p
 asked for. `distance_matrices` builds the approximate all-pairs matrices of
-one graph for a whole p grid: it gathers the edge drops of each L+ column
-once (a vertex-by-edges array) and divides them in place by one power of
-two, so that no pair drop exceeds 1. On those scaled drops two fast passes
-give the plain sums over edges of w |drop|^q: the pairs that are edges take
-the symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop once
-for both of its edges, a strip of edges and its square per block, and the
-other pairs the peak-free row pass, one log per drop and one exp and one
-product per drop and p, in cache-sized blocks.
+one graph for a whole p grid. The edge drops of the L+ columns form the
+vertex-by-edges drops array L+ C^T; one power of two divides them all, so
+that no pair drop exceeds 1. On the scaled drops two fast passes give the
+plain sums over edges of w |drop|^q: the pairs that are edges take the
+symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop once
+for both of its edges and gathers the drops array from L+ one column block
+at a time, and the other pairs the peak-free row pass, one log per
+drop and one exp and one product per drop and p, in cache-sized blocks of
+rows of the whole array. That array is built only when some pair takes a
+row pass, so a complete graph never holds it.
 Both passes share one scale, one trust rule (`_trusted`) and one skip rule
 (`_unit_scale`) in `_fast_metrics`. A pair that either rule rejects at any
 p of the grid takes the peak-scaled row path `_approx_sums` instead, at
@@ -300,13 +302,14 @@ def ssl_solve(g, p, i, j, cfg=None, pinv=None):
     )
 
 
-def exact_presistance(g, p, i, j, cfg=None):
+def exact_presistance(g, p, i, j, cfg=None, pinv=None):
     """Exact p-resistance of the pair (i, j): the reciprocal of the minimal
-    pinned energy of `ssl_solve`. A solve that did not converge gives its
-    best-so-far value; a caller that needs its convergence record calls
-    `ssl_solve`.
+    pinned energy of `ssl_solve`, started from `pinv` (the graph's
+    `LaplacianPinv`, computed when left out). A solve that did not converge
+    gives its best-so-far value; a caller that needs its convergence record
+    calls `ssl_solve`.
     """
-    return 1.0 / ssl_solve(g, p, i, j, cfg).energy
+    return 1.0 / ssl_solve(g, p, i, j, cfg, pinv).energy
 
 
 def _check_pair(g, i, j):
@@ -317,8 +320,9 @@ def _check_pair(g, i, j):
 
 # drops per block of pairs in the all-pairs kernel: the block and its one
 # exp temporary stay in cache while every p of the grid passes over them.
-# A strip of the symmetric edge pass at a single p needs no temporary, as
-# its exp works in place, and takes twice this many
+# A tile of the symmetric edge pass at a single p needs no temporary, as
+# its exp works in place, and takes twice this many. A column block of that
+# pass gathers a slab of about this many drops
 _BLOCK_DROPS = 1 << 16
 
 # the fast passes trust a sum of at least m times this, times the largest
@@ -377,8 +381,8 @@ def _approx_sums(drops, w, qs, peak=True, power=None):
 
     With `peak` False the drops are not factored: entry [k, r] is the plain
     sum over edges of w |drop|^q, for drops the caller has scaled to at
-    most 1 (`_unit_pair_metrics`), which saves a row max and a divide per
-    drop.
+    most 1 (the peak-free row pass of `_fast_metrics`), which saves a row
+    max and a divide per drop.
 
     The drops are logged once and each q costs one exp and one
     matrix-vector product, cheaper than one `**` per q. A zero drop logs to
@@ -414,9 +418,19 @@ def _approx_sums(drops, w, qs, peak=True, power=None):
 def _drop_rows(drops, a, b, start, out):
     """out[r] = drops[a[r], start:] - drops[b[r], start:]. A run of rows
     with one a and consecutive b is one subtract from a contiguous slab of
-    `drops`: the rows of a k-NN graph's pairs and edges come in such runs,
-    and a gather of scattered rows costs several times more."""
+    `drops`: the rows of a k-NN graph's pairs and of a complete graph's
+    edges come in such runs, and a gather of them costs several times more.
+    Rows whose runs are shorter than four on average, as a k-NN graph's
+    edges are, are gathered `_BLOCK_DROPS` / 4 drops at a time instead: a
+    subtract per row costs more in calls than the gather on short rows."""
     cuts = np.flatnonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1] + 1)) + 1
+    if 4 * cuts.size > a.size:
+        src = drops[:, start:]
+        step = max(1, _BLOCK_DROPS // (4 * src.shape[1]))
+        for s in range(0, a.size, step):
+            np.subtract(src[a[s : s + step]], src[b[s : s + step]],
+                        out=out[s : s + step])
+        return out
     for s, e in zip([0, *cuts], [*cuts, a.size]):
         np.subtract(drops[a[s], start:], drops[b[s] : b[s] + e - s, start:],
                     out=out[s:e])
@@ -457,28 +471,61 @@ def _pair_sums(drops, w, qs, a, b, workers=1, peak=True):
     return sums
 
 
-def _unit_scale(drops, w, qs, a, b, floor):
+def _edge_block_width(g):
+    """Edges per column block of the symmetric pass and the reach scan:
+    an n-row slab of that many columns holds about `_BLOCK_DROPS` drops."""
+    return max(1, _BLOCK_DROPS // g.n)
+
+
+def _edge_block(L, g, s, t):
+    """The (t - s) x n slab of drops over the edges [s, t): row e is
+    L[ei[e]] - L[ej[e]], which is column e of the drops array L C^T, as L
+    is exactly symmetric. Rows gather several times faster than columns."""
+    block = np.take(L, g.ei[s:t], axis=0)
+    block -= np.take(L, g.ej[s:t], axis=0)
+    return block
+
+
+def _edge_drops(Lp, g):
+    """The n x m drops array L+ C^T: row v holds the drop over each edge of
+    L+'s column v, which is its row v, as L+ is exactly symmetric. The ej
+    gather is subtracted in blocks of rows, so no second array of this size
+    is made."""
+    drops = np.take(Lp, g.ei, axis=1)
+    step = max(1, _BLOCK_DROPS // g.m)
+    for v in range(0, g.n, step):
+        drops[v : v + step] -= np.take(Lp[v : v + step], g.ej, axis=1)
+    return drops
+
+
+def _unit_scale(Lp, g, qs, a, b, floor):
     """The one scale of the fast passes, and their skip rule.
 
-    c is the smallest power of two above twice the largest drop magnitude.
-    Divided by c, every drop is below 1/2, so every pair drop, a difference
-    of two of them, is below 1 and none of its powers overflows; and a
-    division by a power of two is exact down to the smallest normal float.
-    A pair's drop is at most reach[a] + reach[b], the largest drop
-    magnitudes of its two rows, so its sum over edges of w |drop / c|^q is
-    at most the sum of w times ((reach[a] + reach[b]) / c)^q. Returns c,
+    reach[v] is the largest drop magnitude of row v of the drops array
+    L+ C^T, taken from its column blocks in one pass. c is the smallest
+    power of two above twice the largest drop magnitude. Divided by c,
+    every drop is below 1/2, so every pair drop, a difference of two of
+    them, is below 1 and none of its powers overflows; and a division by a
+    power of two is exact down to the smallest normal float. A pair's drop
+    is at most reach[a] + reach[b], so its sum over edges of w |drop / c|^q
+    is at most the sum of w times ((reach[a] + reach[b]) / c)^q. Returns c,
     c^q at each q of `qs` (as a column), and whether that bound of each
     pair (a[r], b[r]) is at least `floor` at every q: a pair for which it
     is not cannot be trusted at every q, and where c^q is not a normal
     float at some q no pair can.
     """
-    reach = np.maximum(drops.max(axis=1), -drops.min(axis=1))
+    reach = np.zeros(g.n)
+    width = _edge_block_width(g)
+    for s in range(0, g.m, width):
+        block = _edge_block(Lp, g, s, min(g.m, s + width))
+        np.maximum(reach, block.max(axis=0), out=reach)
+        np.maximum(reach, -block.min(axis=0), out=reach)
     top = reach.max()
     qcol = np.array(qs)[:, None]
     with np.errstate(over="ignore", under="ignore"):
         c = np.ldexp(1.0, np.frexp(top)[1] + 1)
         scale = c**qcol
-        bound = w.sum() * ((reach[a] + reach[b]) / c) ** qcol
+        bound = g.w.sum() * ((reach[a] + reach[b]) / c) ** qcol
     live = (bound >= floor).all(axis=0)
     if not (0.0 < top < np.inf and np.all((scale >= _TINY) & (scale < np.inf))):
         live[:] = False
@@ -494,118 +541,128 @@ def _trusted(sums, scale, floor):
     return metric, (sums >= floor) & np.isfinite(metric) & (metric > 0.0)
 
 
-def _fast_metrics(drops, g, qs, a, b, workers=1):
+def _fast_metrics(Lp, drops, g, qs, a, b, workers=1):
     """Approximated metric of the pairs (a[r], b[r]) at each q of `qs` by
     the fast passes, and where it is trusted. The first m pairs are the
-    edge pairs (ej[f], ei[f]).
+    edge pairs (ej[f], ei[f]); `drops` is the drops array L+ C^T of
+    `_edge_drops`, needed only when there are other pairs (else None).
 
-    The drops are divided in place by the scale c of `_unit_scale` and
-    multiplied back by it before the return. On them the edge pairs take
-    the symmetric pass `_edge_pair_sums` and the other pairs the peak-free
-    row pass, `_pair_sums` with `peak` False; both give the plain sums over
-    edges of w |drop / c|^q, which `_trusted` turns into metrics and ok
-    entries with the floor m `_SUM_FLOOR`, times the largest weight where
-    that is above 1. A pair that `_unit_scale` rules out skips its pass and
-    comes back not ok; the symmetric pass, which takes every edge at once,
-    is skipped when it rules out every edge.
+    The edge pairs take the symmetric pass `_edge_pair_sums` on the drops
+    it gathers from L+, divided by the scale c of `_unit_scale` block by
+    block; the other pairs take the peak-free row
+    pass, `_pair_sums` with `peak` False, on `drops` divided in place by c
+    and multiplied back by it before the return. Both give the plain sums
+    over edges of w |drop / c|^q, which `_trusted` turns into metrics and
+    ok entries with the floor m `_SUM_FLOOR`, times the largest weight
+    where that is above 1. A pair that `_unit_scale` rules out skips its
+    pass and comes back not ok; the symmetric pass, which takes every edge
+    at once, is skipped when it rules out every edge.
     """
     m = g.m
     floor = m * max(1.0, g.w.max()) * _SUM_FLOOR
-    c, scale, live = _unit_scale(drops, g.w, qs, a, b, floor)
+    c, scale, live = _unit_scale(Lp, g, qs, a, b, floor)
     edge_sums = 0.0
-    if live.any():
-        drops /= c
-        if live[:m].any():
-            edge_sums = _edge_pair_sums(drops, g, qs, workers)
+    if live[:m].any():
+        edge_sums = _edge_pair_sums(Lp, c, g, qs, workers)
     # made after the symmetric pass: made before, these arrays sit below
     # its temporaries on the heap and raise the process's peak memory
     sums = np.zeros((len(qs), a.size))
     sums[:, :m] = edge_sums
     rows = m + np.flatnonzero(live[m:])
     if rows.size:
+        drops /= c
         sums[:, rows] = _pair_sums(drops, g.w, qs, a[rows], b[rows], workers,
                                    peak=False)
-    if live.any():
         drops *= c
     metric, ok = _trusted(sums, scale, floor)
     return metric, ok & live
 
 
-def _edge_pair_sums(drops, g, qs, workers=1):
+def _edge_pair_sums(Lp, c, g, qs, workers=1):
     """Plain sum over edges e of w[e] |T[f, e]|^q of every edge pair
-    (ej[f], ei[f]) at each q of `qs`, for drops scaled so that |T| <= 1.
+    (ej[f], ei[f]) at each q of `qs`, for drops of L+ (`Lp`) divided by the
+    power of two c so that |T| <= 1.
 
-    The drops of the edge pairs over the edges, T[f, e] = drops[ei[f], e] -
-    drops[ej[f], e], form the symmetric matrix C L+ C^T. Each drop of its
-    strict upper triangle is exponentiated once per q, and it adds to the
-    sums of both its row and its column; the diagonal, the scaled p = 2
-    resistances R of the edges, adds w |R|^q, taken with `**`.
+    The drops of the edge pairs over the edges, T[f, e] = D[ei[f], e] -
+    D[ej[f], e] with D = Lp C^T / c, form the symmetric matrix C Lp C^T / c.
+    Each drop of its strict upper triangle is exponentiated once per q, and
+    it adds to the sums of both its row and its column; the diagonal, the
+    scaled p = 2 resistances R of the edges, adds w |R|^q, taken with `**`.
 
-    A strip of rows [s, t), at least one row, takes the columns [s, m) as
-    one block, with one matrix-vector product into its rows and one into
-    its columns per q. Each thread holds 2 `_BLOCK_DROPS` floats for its
-    strips: with several q a strip of about `_BLOCK_DROPS` entries keeps
-    its logs in one half and each q's powers in the other, and at one q
-    the power is taken in place over the logs, so a strip fills the whole
-    budget and there are half as many. The block's entries on and below
-    the diagonal of its square [s, t) are logged as 1s and zeroed after
-    each exp: a zero would log to -inf, whose exp is several times slower.
-    Runs of strips go to `workers` threads, and this thread adds their
-    products into the sums in strip order, so the sums do not depend on the
+    D is never held whole, nor is a scaled copy of L+. Each column block E
+    of `_edge_block_width` edges gathers its n x |E| slab of D once, divided
+    by c as it is transposed, so every entry has the bytes it has in the
+    whole drops array divided by c. The block's rows f < e are taken in
+    tiles with one matrix-vector product into their rows and one into
+    their columns per q: the rows above the block in tiles of the full
+    block width, and the block's own rows in four strips [r, r2), each
+    with the columns [r, t) right of its start. Each thread holds one slab
+    and 2 `_BLOCK_DROPS` floats for its tiles: with several q a tile of
+    about `_BLOCK_DROPS` entries keeps its logs in one half and each q's
+    powers in the other, and at one q the power is taken in place over the
+    logs, so a tile fills the whole budget and there are half as many. A
+    strip's entries on and below the diagonal of its square [r, r2) are
+    logged as 1s and zeroed after each exp: a zero would log to -inf, whose
+    exp is several times slower. Four strips log an eighth of the block's
+    square this way, where one would log half of it. The blocks go to
+    `workers` threads, the widest first, and this thread adds their tiles'
+    products into the sums in that order, so the sums do not depend on the
     thread count.
     """
     m = g.m
     ei, ej, w = g.ei, g.ej, g.w
-    edges = np.arange(m)
-    resist = np.abs(drops[ei, edges] - drops[ej, edges])
+    resist = np.abs((Lp[ei, ei] - Lp[ei, ej]) / c - (Lp[ej, ei] - Lp[ej, ej]) / c)
     sums = w * resist ** np.array(qs)[:, None]
     one_q = len(qs) == 1
     budget = _BLOCK_DROPS * (2 if one_q else 1)
-    strips = []
-    s = 0
-    while s < m:
-        t = min(m, s + max(1, budget // (m - s)))
-        strips.append((s, t))
-        s = t
-    # the squares' lower triangles, diagonal included, as views of one mask
-    k_max = max(t - s for s, t in strips)
-    lower = np.tri(k_max, dtype=bool)
+    width = _edge_block_width(g)
     local = threading.local()
 
-    def products(run):
-        # the row and column products of each strip [s, t) of the run, at
-        # each q
+    def tiles(s, t):
+        # (first row, end row, first column) of each tile of block [s, t)
+        k = t - s
+        rows = max(1, max(budget, m) // k)
+        strip = min(rows, -(-k // 4))
+        return ([(r, min(s, r + rows), s) for r in range(0, s, rows)]
+                + [(r, min(t, r + strip), r) for r in range(s, t, strip)])
+
+    def products(block):
+        # the row and column products of each tile of the block, at each q
+        s, t = block
         if not hasattr(local, "flat"):
             local.flat = np.empty(2 * max(_BLOCK_DROPS, m))
+        slab = np.divide(_edge_block(Lp, g, s, t).T, c, out=np.empty((g.n, t - s)))
+        spans = tiles(s, t)
         out = []
-        for s, t in run:
-            k = t - s
-            size = k * (m - s)
-            blk = local.flat[:size].reshape(k, m - s)
-            pw = blk if one_q else local.flat[size : 2 * size].reshape(k, m - s)
-            below = lower[:k, :k]
-            _drop_rows(drops, ei[s:t], ej[s:t], s, blk)
+        for r, r2, c0 in spans:
+            k = r2 - r
+            size = k * (t - c0)
+            blk = local.flat[:size].reshape(k, t - c0)
+            pw = blk if one_q else local.flat[size : 2 * size].reshape(k, t - c0)
+            _drop_rows(slab, ei[r:r2], ej[r:r2], c0 - s, blk)
             np.abs(blk, out=blk)
-            np.copyto(blk[:, :k], 1.0, where=below)
+            # a strip of the block's own rows masks its square
+            below = np.tri(k, dtype=bool) if c0 == r else None
+            if below is not None:
+                np.copyto(blk[:, :k], 1.0, where=below)
             logd = _log(blk)
-            strip = []
+            tile = []
             for q in qs:
                 np.exp(np.multiply(logd, q, out=pw), out=pw)
-                np.copyto(pw[:, :k], 0.0, where=below)
-                strip.append((pw @ w[s:], w[s:t] @ pw))
-            out.append(strip)
-        return out
+                if below is not None:
+                    np.copyto(pw[:, :k], 0.0, where=below)
+                tile.append((pw @ w[c0:t], w[r:r2] @ pw))
+            out.append(tile)
+        return spans, out
 
-    # a task takes strips for at least two (strip, q) products: at one q, a
-    # task per strip cost 8% more kernel time in hand-offs on iris, and each
-    # more strip per task holds one more column product per q in flight
-    per_run = -(-2 // len(qs))
-    runs = [strips[c : c + per_run] for c in range(0, len(strips), per_run)]
-    for run, out in zip(runs, _ordered_map(products, runs, workers)):
-        for (s, t), strip in zip(run, out):
-            for k, (row, col) in enumerate(strip):
-                sums[k, s:t] += row
-                sums[k, s:] += col
+    # the last block holds the most rows: taken first, it does not keep
+    # one thread busy after the others are done
+    blocks = [(s, min(m, s + width)) for s in range(0, m, width)][::-1]
+    for (s, t), (spans, out) in zip(blocks, _ordered_map(products, blocks, workers)):
+        for (r, r2, c0), tile in zip(spans, out):
+            for k, (row, col) in enumerate(tile):
+                sums[k, r:r2] += row
+                sums[k, c0:t] += col
     return sums
 
 
@@ -707,18 +764,21 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     thread count.
 
     At p = 2 the matrix takes its closed form. The other p share one pass
-    over the pairs, from the edge drops of every L+ column gathered once.
-    `_fast_metrics` divides them in place by one power of two, so that no
+    over the pairs, on the edge drops of the L+ columns, the drops array
+    L+ C^T. `_fast_metrics` scales them by one power of two, so that no
     pair drop exceeds 1, and on them the pairs that are edges take the
     symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop
-    once instead of twice, and the other pairs the peak-free row pass,
-    which needs no row max or divide per block. A pair whose value either
-    pass's rules do not trust at some p takes the row path `_approx_sums`
-    at every p, which scales each pair's drops by their peak, on the drops
-    multiplied back. So a complete graph never enters the peak-free pass.
-    All three walk blocks of about `_BLOCK_DROPS` drops (twice that in a
-    strip of the symmetric pass at a single p) and take one log per drop
-    and one exp per drop and p.
+    once instead of twice and reads column blocks of the array gathered
+    from L+, and the other pairs the peak-free row pass, which needs no row
+    max or divide per block. A pair whose value either pass's rules do not
+    trust at some p takes the row path `_approx_sums` at every p, which
+    scales each pair's drops by their peak, on the unscaled drops. The
+    whole drops array (`_edge_drops`) is built once, and only when some
+    pair takes a row pass: a complete graph enters neither row pass unless
+    an edge pair's value fails, so it holds O(n^2) floats where the array
+    holds n m. All three passes walk blocks of about `_BLOCK_DROPS` drops
+    (twice that in a tile of the symmetric pass at a single p) and take
+    one log per drop and one exp per drop and p.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -729,19 +789,13 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
     upper = np.zeros((len(qs), n, n))
     if qs and g.m:
-        # row v: the drop over each edge of L+'s column v, which is its row
-        # v, as L+ is exactly symmetric. The ej gather is subtracted in
-        # blocks of rows, so no second array of this size is made
-        drops = np.take(Lp, g.ei, axis=1)
-        step = max(1, _BLOCK_DROPS // g.m)
-        for v in range(0, n, step):
-            drops[v : v + step] -= np.take(Lp[v : v + step], g.ej, axis=1)
         edge = np.zeros((n, n), dtype=bool)
         edge[g.ej, g.ei] = True
         # the edge pairs (ej[f], ei[f]) first, then the other pairs
         a, b = np.nonzero(np.triu(~edge, 1))
         a, b = np.concatenate([g.ej, a]), np.concatenate([g.ei, b])
-        metric, ok = _fast_metrics(drops, g, qs, a, b, workers)
+        drops = _edge_drops(Lp, g) if a.size > g.m else None
+        metric, ok = _fast_metrics(Lp, drops, g, qs, a, b, workers)
         keep = ok.all(axis=0)
         upper[:, a[keep], b[keep]] = metric[:, keep]
         # the pairs whose entry fails at some p take the peak-scaled row
@@ -749,7 +803,10 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
         rest = np.zeros((n, n), dtype=bool)
         rest[a[~keep], b[~keep]] = True
         a, b = np.nonzero(rest)
-        upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
+        if a.size:
+            if drops is None:
+                drops = _edge_drops(Lp, g)
+            upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
     out = []
     k = 0
     for p in ps:

@@ -183,7 +183,7 @@ def suite_tree_exactness(seed=0):
         for _ in range(8):
             i, j = map(int, rng.choice(n, size=2, replace=False))
             p = float(rng.choice([1.5, 2.0, 3.0, 10.0]))
-            exact = exact_presistance(g, p, i, j, cfg)
+            exact = exact_presistance(g, p, i, j, cfg, pinv)
             approx = approx_presistance(g, p, i, j, pinv)
             if abs(approx - exact) / exact > 1e-4:
                 fails.append(
@@ -209,7 +209,7 @@ def suite_sandwich(seed=0):
                 fails.append(f"graph {c} p={p}: estimator outside [1, ceiling]")
             for i in range(n):
                 for j in range(i + 1, n):
-                    exact = exact_presistance(g, p, i, j, cfg)
+                    exact = exact_presistance(g, p, i, j, cfg, pinv)
                     approx = approx_presistance(g, p, i, j, pinv)
                     if approx < exact * (1 - 1e-6):
                         fails.append(f"graph {c} ({i},{j}) p={p}: approx below exact")
@@ -367,12 +367,13 @@ def suite_limits(seed=0):
     ]
     cfg = SolverConfig(grad_tol=1e-10)
     for name, g, pairs in cases:
+        pinv = laplacian_pinv(g)
         for i, j in pairs:
-            r_small = exact_presistance(g, 1.05, i, j, cfg)
+            r_small = exact_presistance(g, 1.05, i, j, cfg, pinv)
             target = 1.0 / mincut(g, i, j)
             if abs(r_small / target - 1.0) > 0.10:
                 fails.append(f"{name} ({i},{j}): p->1 limit off by {r_small / target:.3f}")
-            r_large = exact_presistance(g, 50.0, i, j, cfg)
+            r_large = exact_presistance(g, 50.0, i, j, cfg, pinv)
             hop = shortest_path(g, i, j, weighted=False)
             metric = r_large ** (1.0 / 49.0)
             if abs(metric / hop - 1.0) > 0.10:
@@ -395,9 +396,10 @@ def suite_rayleigh_monotonicity(seed=0):
         add = missing[int(rng.integers(0, len(missing)))]
         g2 = build_graph(n, list(g.edges) + [(add[0], add[1], float(rng.uniform(0.5, 2.0)))])
         i, j = map(int, rng.choice(n, size=2, replace=False))
+        pinv, pinv2 = laplacian_pinv(g), laplacian_pinv(g2)
         for p in (1.5, 2.0, 3.0):
-            r1 = exact_presistance(g, p, i, j, cfg)
-            r2 = exact_presistance(g2, p, i, j, cfg)
+            r1 = exact_presistance(g, p, i, j, cfg, pinv)
+            r2 = exact_presistance(g2, p, i, j, cfg, pinv2)
             if r2 > r1 * (1 + 1e-6):
                 fails.append(f"case {c} p={p}: resistance increased after adding an edge")
     return fails

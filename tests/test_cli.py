@@ -487,6 +487,23 @@ def test_bad_workers_env_only_breaks_distances(tmp_path, monkeypatch):
                 "--out", tmp_path / "d.bin"]) == 0
 
 
+@pytest.mark.parametrize("mode", ["approx", "exact"])
+@pytest.mark.parametrize("count", ["0", "-4"])
+def test_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, mode,
+                                        count):
+    # from the flag or the environment, in either mode: nothing is written
+    out = tmp_path / "d.bin"
+    monkeypatch.delenv("PRESISTANCE_WORKERS", raising=False)
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--mode", mode, "--workers", count, "--out", out]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    monkeypatch.setenv("PRESISTANCE_WORKERS", count)
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--mode", mode, "--out", out]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_artifact_bytes_independent_of_output_path(tmp_path):
     dists = []
     for name in ("a.bin", "b.bin"):

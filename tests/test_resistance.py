@@ -2,6 +2,7 @@ import inspect
 import sys
 import threading
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from presistance import (
     shortest_path,
     ssl_solve,
 )
-from presistance import resistance
+from presistance import resistance, verify
 from presistance.errors import (
     DimensionMismatch,
     FingerprintMismatch,
@@ -673,8 +674,8 @@ def test_distance_matrices_match_pinv_reference_random_graphs():
 @pytest.mark.parametrize("block", [None, 200])
 def test_distance_matrices_match_pinv_reference_complete_graphs(block, monkeypatch):
     # every pair is an edge. K_12 has 66 edges: the default block takes them
-    # as one strip, one square; 200 drops make strips of 3 to 12 rows, each
-    # with its square and the block right of it
+    # as one column block of four strips, each with its square; 200 drops
+    # make blocks of 16 edges, each with a tile of the rows above it
     if block:
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
     g = generate("complete", n=12)
@@ -820,6 +821,18 @@ def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
             np.triu(~edge, 1)), p
 
 
+def _unit_drops_graph(target):
+    # a graph of two edges (4, 3) and (5, 3) and a symmetric L whose drops
+    # array has the rows `target` for vertices 0 to 2 and zero rows for 3
+    # to 5: the kernel reads only g.n, g.m, ei, ej and w, and L's entries
+    g = types.SimpleNamespace(n=6, m=2, ei=np.array([4, 5]), ej=np.array([3, 3]),
+                              w=np.array([1.0, 0.5]))
+    L = np.zeros((6, 6))
+    L[:3, 4:] = target
+    L[4:, :3] = target.T
+    return g, L
+
+
 def test_peak_free_pass_rejects_sums_below_the_floor():
     # three rows of drops over two edges; the largest is 0.3, so the scale
     # is c = 1. Pair (0, 1) drops 0.3 on both edges: at q = 602 its sum is
@@ -828,25 +841,27 @@ def test_peak_free_pass_rejects_sums_below_the_floor():
     # so the skip rule lets every pair in. Pair (0, 2) underflows to 0.
     # Both are not ok at q = 602 under the trust rule, and every ok entry
     # matches its sum from the definition
-    drops = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
-    before = drops.copy()
-    w = np.array([1.0, 0.5])
+    target = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
+    g, L = _unit_drops_graph(target)
+    before = L.copy()
+    drops = resistance._edge_drops(L, g)
+    assert drops[:3].tobytes() == target.tobytes() and not drops[3:].any()
     a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
     qs = (602.0, 3.0)
     floor = 2 * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(drops, w, qs, a, b, floor)
+    c, scale, live = resistance._unit_scale(L, g, qs, a, b, floor)
     assert c == 1.0 and live.all()
-    assert drops.tobytes() == before.tobytes()
+    assert L.tobytes() == before.tobytes()
     # times 2^20 the bounds relative to c keep their values, but c^602
     # overflows: no pair is let in
-    _, _, live = resistance._unit_scale(drops * 2.0**20, w, qs, a, b, floor)
+    _, _, live = resistance._unit_scale(L * 2.0**20, g, qs, a, b, floor)
     assert not live.any()
-    sums = resistance._pair_sums(drops / c, w, qs, a, b, peak=False)
+    sums = resistance._pair_sums(drops / c, g.w, qs, a, b, peak=False)
     metric, ok = resistance._trusted(sums, scale, floor)
     assert ok.tolist() == [[False, False, True], [True, True, True]]
-    d = np.abs(before[a] - before[b])
+    d = np.abs(target[a] - target[b])
     for k, q in enumerate(qs):
-        want = d**q @ w
+        want = d**q @ g.w
         assert np.all(np.abs(metric[k, ok[k]] - want[ok[k]]) <= 1e-13 * want[ok[k]])
 
 
@@ -865,10 +880,10 @@ def test_peak_free_pass_not_taken_on_complete_graphs(iris_csv, monkeypatch):
 @pytest.mark.parametrize("case", ["complete", "weighted", "knn", "half_iris"])
 def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
                                                          monkeypatch):
-    # small blocks give many strips and many row blocks. The strips' row
-    # and column products are added in strip order on the calling thread
-    # and the row blocks write disjoint columns, so every matrix has the
-    # same bytes at any thread count
+    # small blocks give many column blocks and many row blocks. The tiles'
+    # row and column products are added in a fixed order on the calling
+    # thread and the row blocks write disjoint columns, so every matrix has
+    # the same bytes at any thread count
     if case in ("complete", "weighted"):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
         g = generate("complete", n=12)
@@ -916,7 +931,7 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
 def test_one_p_strips_match_the_grid_and_any_thread_count(iris_csv):
     # half of iris at mu = 1 is complete (m = 2775), so every pair takes
     # the symmetric pass. A one-p call takes its powers in place and walks
-    # strips of twice the drops of a grid call: its sums add in another
+    # tiles of twice the drops of a grid call: its sums add in another
     # order, so its matrix agrees with the grid's to rounding, and it has
     # the same bytes at any thread count
     g = _half_iris(iris_csv, 1.0, 1.0)
@@ -932,7 +947,8 @@ def test_one_p_strips_match_the_grid_and_any_thread_count(iris_csv):
 
 
 def test_distance_matrices_run_strips_on_the_pool(monkeypatch):
-    # with more than one worker every strip is logged on a pool thread
+    # with more than one worker every tile is logged on a pool thread: 200
+    # drops make five column blocks of K_12's 66 edges
     monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
     g = generate("complete", n=12)
     threads = []
@@ -991,8 +1007,8 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
     pinv = laplacian_pinv(g)
     ps = (1.001, 1.1, 2.9)
     qs = tuple(conjugate_exponent(p) for p in ps)
-    drops = np.take(pinv.matrix.T, g.ei, axis=1) - np.take(pinv.matrix.T, g.ej, axis=1)
-    before = drops.copy()
+    Lp = pinv.matrix
+    before = Lp.copy()
     got = [dm.matrix for dm in distance_matrices(g, ps, pinv)]
     logged = []
     log = resistance._log
@@ -1002,19 +1018,19 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
         return log(x)
 
     monkeypatch.setattr(resistance, "_log", counting_log)
-    _, ok = resistance._fast_metrics(drops, g, qs, g.ej, g.ei)
+    _, ok = resistance._fast_metrics(Lp, None, g, qs, g.ej, g.ei)
     assert not logged and not ok.any()
-    # at p = 1.1 and 2.9 alone the pass runs in place on the drops, keeps
-    # every edge and gives the drops back with their bytes
-    _, ok = resistance._fast_metrics(drops, g, qs[1:], g.ej, g.ei)
+    # at p = 1.1 and 2.9 alone the pass scales the drops it gathers, keeps
+    # every edge and leaves L+ with its bytes
+    _, ok = resistance._fast_metrics(Lp, None, g, qs[1:], g.ej, g.ei)
     assert logged and ok.all()
-    assert drops.tobytes() == before.tobytes()
+    assert Lp.tobytes() == before.tobytes()
     # without the skip rule the pass runs, and rejects every edge at q = 1001
     floor = g.m * max(1.0, g.w.max()) * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(drops, g.w, qs, g.ej, g.ei, floor)
+    c, scale, live = resistance._unit_scale(Lp, g, qs, g.ej, g.ei, floor)
     assert not live.any()
     logged.clear()
-    sums = resistance._edge_pair_sums(drops / c, g, qs)
+    sums = resistance._edge_pair_sums(Lp, c, g, qs)
     _, ok = resistance._trusted(sums, scale, floor)
     assert logged and not ok[0].any() and ok[1:].all()
     unit_scale = resistance._unit_scale
@@ -1067,15 +1083,34 @@ def test_iris_grid_cells_send_no_pair_to_the_row_path(iris_csv, monkeypatch):
         assert not calls[False], sigma
 
 
+def _edge_pass_tiles(n, m, block, n_q):
+    # the (rows, columns, square) of each tile of the symmetric pass: column
+    # blocks of block // n edges; above each block, tiles of the full block
+    # width holding about max(budget, m) drops; in it, four strips with
+    # their squares. A tile at one q takes its powers in place and holds
+    # twice the drops of one at several q
+    budget = block * (2 if n_q == 1 else 1)
+    width = max(1, block // n)
+    out = []
+    for s in range(m - 1 - (m - 1) % width, -1, -width):
+        t = min(m, s + width)
+        k = t - s
+        rows = max(1, max(budget, m) // k)
+        strip = min(rows, -(-k // 4))
+        out += [(min(s, r + rows) - r, k, 0) for r in range(0, s, rows)]
+        out += [(min(t, r + strip) - r, t - r, min(t, r + strip) - r)
+                for r in range(s, t, strip)]
+    return out
+
+
 def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     # on a complete graph every pair is an edge: the kernel logs each
     # (edge, edge) drop of the strict upper triangle once however many p,
-    # and each strip of k rows logs the k (k + 1) / 2 entries of its square
-    # on and below the diagonal as 1s; with several strips that stays below
-    # the row path's m^2 logs. A strip at one q, whose powers need no
-    # second buffer, takes twice the drops of one at several q
+    # and each strip of k rows in a column block logs the k (k + 1) / 2
+    # entries of its square on and below the diagonal as 1s; with several
+    # strips that stays below the row path's m^2 logs. Each tile is one log
     g = generate("complete", n=40)
-    m = g.m
+    n, m = g.n, g.m
     logged = []
     log = resistance._log
 
@@ -1087,24 +1122,23 @@ def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     for block in (resistance._BLOCK_DROPS, 2000, 1):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
         for ps in ((3.0,), (1.5, 2.0, 3.0, 10.0)):
-            budget = block * (2 if len(ps) == 1 else 1)
-            ks = []
-            s = 0
-            while s < m:
-                ks.append(min(m - s, max(1, budget // (m - s))))
-                s += ks[-1]
-            want = m * (m - 1) // 2 + sum(k * (k + 1) // 2 for k in ks)
-            assert len(ks) > 1 and want < m * m, block
+            tiles = _edge_pass_tiles(n, m, block, 1 if len(ps) == 1 else 3)
+            squares = [k for _, _, k in tiles if k]
+            assert sum(k * (k - 1) // 2 + k * (c - k) for _, c, k in tiles if k) \
+                + sum(r * c for r, c, k in tiles if not k) == m * (m - 1) // 2
+            want = m * (m - 1) // 2 + sum(k * (k + 1) // 2 for k in squares)
+            assert len(squares) > 1 and want < m * m, block
             logged.clear()
-            distance_matrices(g, ps)
-            assert len(logged) == len(ks), (block, ps)
+            distance_matrices(g, ps, workers=1)
+            assert logged == [r * c for r, c, _ in tiles], (block, ps)
             assert sum(logged) == want, (block, ps)
 
 
 def test_edge_pair_sums_work_in_a_few_blocks(iris_csv, monkeypatch):
     # full iris is complete, m = 11175: at one worker the symmetric pass
-    # holds its strip buffers, the sums and a few strips' products, not
-    # index arrays over every entry of the strips' squares
+    # holds its tile buffers, one column block's slab, the sums and one
+    # block's products, not index arrays over every entry of the strips'
+    # squares
     ds = load_features(iris_csv, has_labels=True, label_column="last")
     g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
     pinv = laplacian_pinv(g)
@@ -1126,6 +1160,96 @@ def test_edge_pair_sums_work_in_a_few_blocks(iris_csv, monkeypatch):
         tracemalloc.stop()
     assert len(peaks) == 1
     assert peaks[0] <= 6 * resistance._BLOCK_DROPS * 8, peaks
+
+
+def test_complete_graph_never_holds_its_drops_array(iris_csv):
+    # full iris at mu = 1 is complete: its drops array L+ C^T would take
+    # n m = 1.68M floats (13.4 MB). The kernel reads L+ one column block at
+    # a time, so the whole call at p = 10 stays a few MiB above its entry
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
+    assert g.m == g.n * (g.n - 1) // 2
+    pinv = laplacian_pinv(g)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        distance_matrices(g, (10.0,), pinv, workers=1)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20 < g.n * g.m * 8, peak
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_drops_array_built_only_for_row_passes(iris_csv, monkeypatch):
+    # a k-NN graph with pairs that are not edges builds its drops array
+    # once, for the peak-free pass and the row path alike; a complete graph
+    # builds it only when the fast rules send some edge pair to the row
+    # path, as every edge of half of iris at mu = 1 goes at p = 1.001
+    built = []
+    edge_drops = resistance._edge_drops
+
+    def counting(Lp, g):
+        built.append(g.m)
+        return edge_drops(Lp, g)
+
+    monkeypatch.setattr(resistance, "_edge_drops", counting)
+    sparse = _half_iris(iris_csv, 0.1, 1.0)
+    assert sparse.m < sparse.n * (sparse.n - 1) // 2
+    for ps in ((2.9,), (1.001, 1.1, 2.9)):
+        built.clear()
+        distance_matrices(sparse, ps)
+        assert built == [sparse.m], ps
+    complete = _half_iris(iris_csv, 1.0, 1.0)
+    assert complete.m == complete.n * (complete.n - 1) // 2
+    built.clear()
+    distance_matrices(complete, (1.1, 2.9, 10.0))
+    assert not built
+    distance_matrices(complete, (1.001,))
+    assert built == [complete.m]
+
+
+def test_many_column_blocks_match_the_reference_at_any_thread_count(
+        iris_csv, monkeypatch):
+    # full iris at mu = 1 in column blocks of 40 edges: 280 blocks, each
+    # with its tiles above it and its four strips. At p = 10, the paper's
+    # best iris cell, the matrix has the same bytes at 1, 2 and 3 workers
+    # and matches the metric from its definition on numpy's pinv on sampled
+    # pairs
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 6000)
+    ds = load_features(iris_csv, has_labels=True, label_column="last")
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
+    assert -(-g.m // (6000 // g.n)) == 280
+    rng = np.random.default_rng(6)
+    a, b = np.array([rng.choice(g.n, size=2, replace=False)
+                     for _ in range(200)]).T
+    Y = np.linalg.pinv(laplacian(g))
+    Y = Y[:, a] - Y[:, b]
+    drops = np.abs(Y[g.ei] - Y[g.ej])
+    pinv = laplacian_pinv(g)
+    got = [distance_matrices(g, (10.0,), pinv, workers=workers)[0].matrix
+           for workers in (1, 2, 3)]
+    assert all(m.tobytes() == got[0].tobytes() for m in got[1:])
+    want = g.w @ drops ** conjugate_exponent(10.0)
+    assert np.all(np.abs(got[0][a, b] - want) <= 1e-12 * want)
+
+
+@pytest.mark.parametrize("order", ["runs", "scattered"])
+def test_drop_rows_match_the_plain_difference(order, monkeypatch):
+    # rows in long runs (one a, consecutive b) take a subtract per run;
+    # scattered rows, as a k-NN graph's edges come, are gathered a chunk at
+    # a time. Both give the bytes of the plain row difference
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
+    rng = np.random.default_rng(3)
+    drops = rng.normal(size=(30, 17))
+    if order == "runs":
+        a, b = np.repeat([2, 9], 12), np.concatenate([np.arange(12)] * 2)
+    else:
+        a, b = rng.integers(0, 30, size=(2, 24))
+    for start in (0, 5):
+        out = np.empty((24, 17 - start))
+        resistance._drop_rows(drops, a, b, start, out)
+        assert out.tobytes() == (drops[a, start:] - drops[b, start:]).tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -1273,6 +1397,29 @@ def test_exact_distance_matrix_computes_one_pinv(pinv_builds):
     passed = distance_matrix(g, 3.0, mode="exact", cfg=TIGHT, pinv=pinv, workers=1)
     assert pinv_builds == [g]
     assert np.array_equal(computed.matrix, passed.matrix)
+
+
+def test_exact_presistance_takes_the_graphs_pinv(pinv_builds):
+    # the pinv passed in is used; left out, it is computed
+    g = random_connected(8, 31)
+    pinv = laplacian_pinv(g)
+    passed = exact_presistance(g, 3.0, 0, 5, TIGHT, pinv)
+    assert not pinv_builds
+    assert exact_presistance(g, 3.0, 0, 5, TIGHT) == passed
+    assert pinv_builds == [g]
+
+
+@pytest.mark.parametrize("suite, graphs", [
+    ("suite_tree_exactness", 12),
+    ("suite_sandwich", 10),
+    ("suite_limits", 10),
+    # each case factors its graph and the graph with one more edge
+    ("suite_rayleigh_monotonicity", 20),
+])
+def test_exact_verify_suites_factor_each_graph_once(pinv_builds, suite, graphs):
+    assert getattr(verify, suite)(0) == []
+    assert len(pinv_builds) == graphs
+    assert len({id(g) for g in pinv_builds}) == graphs
 
 
 def test_solver_never_beats_its_start_energy():
