@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EigenFailure, InvalidK, LengthMismatch, NonFinite
+from .errors import EigenFailure, InvalidK, LengthMismatch, NonFinite, check_seed
 from .graph import laplacian
 
 
@@ -157,6 +157,7 @@ def k_medoids(D, k, seed=0, restarts=1, build=None):
     run of another matrix with the same k gives a wrong result.
     """
     D, n = _check_distance_input(D, k)
+    check_seed(seed)
     if restarts < 1:
         raise InvalidK("restarts must be at least 1")
     if build is None:
@@ -251,7 +252,7 @@ def sc2_baseline(g, k, seed=0, restarts=10):
     except np.linalg.LinAlgError as exc:
         raise EigenFailure(str(exc)) from exc
     X = vecs[:, :k]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     best = None
     for _ in range(restarts):
         labels, centers, inertia = _kmeans(X, k, rng)

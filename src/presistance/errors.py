@@ -36,6 +36,14 @@ class InvalidParams(PresistanceError):
     pass
 
 
+def check_seed(seed):
+    """`seed` unless it is below 0, which numpy's generators reject with a
+    bare ValueError: then `InvalidParams`. None (fresh entropy) passes."""
+    if seed is not None and seed < 0:
+        raise InvalidParams(f"seed must be at least 0, got {seed}")
+    return seed
+
+
 class DimensionMismatch(PresistanceError):
     pass
 

@@ -21,6 +21,7 @@ from .errors import (
     InvalidParams,
     NonPositiveWeight,
     SelfLoop,
+    check_seed,
 )
 
 
@@ -307,7 +308,7 @@ def generate(family, seed=None, **params):
             f"{family} takes no parameter {unknown[0]!r}; "
             f"it takes {sorted(_FAMILY_PARAMS[family]) or 'none'}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
 
     def need(name):
         if name not in params:

@@ -15,6 +15,7 @@ from .errors import (
     InvalidP,
     NonFinite,
     SingularShift,
+    check_seed,
 )
 from .graph import laplacian
 
@@ -189,7 +190,7 @@ def matrix_op_pnorm(M, p, restarts=5, seed=0, extra_starts=()):
                              iterations=0, exact=True)
     q = conjugate_exponent(p)
     cols = M.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     X = _unit_rows(np.vstack([
         np.ones(cols), rng.standard_normal((restarts, cols)),
         *(np.asarray(s, dtype=float) for s in extra_starts)]), p)

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PresistanceError,
     RaggedRows,
+    check_seed,
 )
 from .graph import build_graph
 from .numerics import (
@@ -337,8 +338,10 @@ def bench_grid(
     """
     if ds.labels is None:
         raise InvalidParams("bench_grid needs a labeled dataset")
-    # checked up front: a bad mu, sigma or p is an error, not a failed cell
-    # (the graph may not build), nor is a p <= 1 a run on the p = 2 matrix
+    # checked up front: a bad mu, sigma, p or seed is an error, not a failed
+    # cell (the graph may not build), nor is a p <= 1 a run on the p = 2
+    # matrix
+    check_seed(seed)
     p_grid = tuple(map(check_p, p_grid))
     graphs = [GraphBuildParams(mu=mu, sigma=sigma)
               for mu in mu_grid for sigma in sigma_grid]
@@ -402,7 +405,7 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
     if min(sample_pairs, limit) < 1 or not p_grid:
         raise InvalidParams(f"ratio_sweep needs a pair and a p, got "
                             f"{sample_pairs} pairs and p grid {p_grid}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     pairs = set()
     while len(pairs) < min(sample_pairs, limit):
         i, j = rng.integers(0, g.n, size=2)

@@ -7,26 +7,21 @@ restricted to the free vertices, and Armijo backtracking on the smoothed
 energy damps it. It starts from the p = 2 (harmonic) potentials
 L+ (e_i - e_j), the pseudoinverse columns whose conjugate-exponent seminorm
 the approximate route evaluates: one Laplacian pseudoinverse per graph
-serves every pair of both routes. Each route has one kernel: `_edge_kernel` for
-the (smoothed) energy, its gradient and its edge curvatures, `_approx_sums`
-for the approximate metric of one pair or of a block of pairs at every p
-asked for. `distance_matrices` builds the approximate all-pairs matrices of
-one graph for a whole p grid. The edge drops of the L+ columns form the
-vertex-by-edges drops array L+ C^T; one power of two divides them all, so
-that no pair drop exceeds 1. On the scaled drops two fast passes give the
-plain sums over edges of w |drop|^q: the pairs that are edges take the
-symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop once
-for both of its edges and gathers the drops array from L+ one column block
-at a time, and the other pairs the peak-free row pass, one log per
-drop and one exp and one product per drop and p, in cache-sized blocks of
-rows of the whole array. That array is built only when some pair takes a
-row pass, so a complete graph never holds it.
-Both passes share one scale, one trust rule (`_trusted`) and one skip rule
-(`_unit_scale`) in `_fast_metrics`. A pair that either rule rejects at any
-p of the grid takes the peak-scaled row path `_approx_sums` instead, at
-every p. Every path runs its blocks on a thread pool, and the matrices have
-the same bytes for any thread count.
-`distance_matrix` in approximate mode is its one-p call.
+serves every pair of both routes. `_edge_kernel` is the one kernel for the
+(smoothed) energy, its gradient and its edge curvatures. The approximate
+metric of every pair is read off column blocks of L+: a block of edges
+gathers its slab of the drops array L+ C^T from L+ (`_slab`), and a pair's
+drops over the block are the difference of two of its rows, so no path
+holds the whole array. `distance_matrices` builds the approximate all-pairs
+matrices of one graph for a whole p grid. Divided by one power of two, no
+pair drop exceeds 1: the pairs that are edges take the symmetric pass
+`_edge_pair_sums`, which logs each (edge, edge) drop once for both of its
+edges, the other pairs the plain mode of `_pair_sums`, and a pair that the
+trust rule (`_trusted`) or the skip rule (`_unit_scale`) rejects at some p
+takes its peak-scaled mode at every p, as the pairs of `approx_metrics` do.
+Each drop takes one log and one exp per p, and the matrices have the same
+bytes for any thread count. `distance_matrix` in approximate mode is its
+one-p call.
 Every pair query takes the pair as `(g, p, i, j)`: `ssl_solve`,
 `exact_presistance`, `approx_metric` and `approx_presistance`.
 Combinatorial oracles for the two limit regimes (minimum cut and hop
@@ -45,7 +40,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .errors import DimensionMismatch, FingerprintMismatch, InvalidP
+from .errors import DimensionMismatch, FingerprintMismatch, InvalidParams, InvalidP
 from .numerics import (
     _checked_pinv,
     _signed_power,
@@ -342,6 +337,14 @@ def available_cores():
         return os.cpu_count() or 1
 
 
+def _checked_workers(workers):
+    """`workers`, or the cores available when it is None; below 1 it is an
+    `InvalidParams`, as the CLI's `--workers` is."""
+    if workers is not None and workers < 1:
+        raise InvalidParams(f"workers must be at least 1, got {workers}")
+    return available_cores() if workers is None else workers
+
+
 def _ordered_map(fn, items, workers):
     """fn(item) for each of `items`, yielded in item order. With more than
     one worker and more than one item the calls run on a pool of `workers`
@@ -369,60 +372,14 @@ def _log(x):
         return np.log(x, out=x)
 
 
-def _approx_sums(drops, w, qs, peak=True, power=None):
-    """Approximated metric of the pairs whose edge drops of L+ (e_i - e_j)
-    are the rows of `drops`, at each q of `qs`: entry [k, r] is the q-th
-    power sum over edges of w |drop|^q of row r at q = qs[k], factored by
-    the row's peak so that huge q stays in range and the result does not
-    depend on the scale of the drops. This is the row path:
-    `approx_metrics` takes it for sampled pairs, `distance_matrices` for
-    the edges whose symmetric value fails at some p and for the other pairs
-    whose peak-free sums fail at some p.
-
-    With `peak` False the drops are not factored: entry [k, r] is the plain
-    sum over edges of w |drop|^q, for drops the caller has scaled to at
-    most 1 (the peak-free row pass of `_fast_metrics`), which saves a row
-    max and a divide per drop.
-
-    The drops are logged once and each q costs one exp and one
-    matrix-vector product, cheaper than one `**` per q. A zero drop logs to
-    -inf and contributes exactly 0, so a pair of identical endpoints gets
-    exactly 0. Works in place and overwrites `drops`: the last q
-    exponentiates the logs where they lie, and the others exponentiate into
-    `power`, an array of the shape of `drops` (made when None).
-    """
-    scaled = np.abs(drops, out=drops)
-    if peak:
-        top = scaled.max(axis=1)
-        top[top == 0.0] = 1.0
-        scaled /= top[:, None]
-    logd = _log(scaled)
-    sums = np.empty((len(qs), drops.shape[0]))
-    last = len(qs) - 1
-    if last > 0 and power is None:
-        power = np.empty_like(logd)
-    for k, q in enumerate(qs):
-        out = logd if k == last else power
-        np.exp(np.multiply(logd, q, out=out), out=out)
-        # one pair sums in einsum's own loop: the BLAS dot product it would
-        # otherwise call is threaded above 10000 edges and stalls for
-        # milliseconds in some processes
-        if drops.shape[0] == 1:
-            total = np.einsum("e,e->", w, out[0])
-        else:
-            total = out @ w
-        sums[k] = top**q * total if peak else total
-    return sums
-
-
 def _drop_rows(drops, a, b, start, out):
     """out[r] = drops[a[r], start:] - drops[b[r], start:]. A run of rows
     with one a and consecutive b is one subtract from a contiguous slab of
-    `drops`: the rows of a k-NN graph's pairs and of a complete graph's
-    edges come in such runs, and a gather of them costs several times more.
-    Rows whose runs are shorter than four on average, as a k-NN graph's
-    edges are, are gathered `_BLOCK_DROPS` / 4 drops at a time instead: a
-    subtract per row costs more in calls than the gather on short rows."""
+    `drops`: a complete graph's edges come in such runs, and a gather of
+    them costs several times more. Rows whose runs are shorter than four on
+    average, as a k-NN graph's edges are, are gathered `_BLOCK_DROPS` / 4
+    drops at a time instead: a subtract per row costs more in calls than
+    the gather on short rows."""
     cuts = np.flatnonzero((a[1:] != a[:-1]) | (b[1:] != b[:-1] + 1)) + 1
     if 4 * cuts.size > a.size:
         src = drops[:, start:]
@@ -437,68 +394,127 @@ def _drop_rows(drops, a, b, start, out):
     return out
 
 
-def _pair_sums(drops, w, qs, a, b, workers=1, peak=True):
-    """`_approx_sums` of the pairs (a[r], b[r]), whose edge drops are the
-    differences of rows a[r] and b[r] of `drops`, taken in blocks of about
-    `_BLOCK_DROPS` drops: the peak-scaled row path, or with `peak` False
-    the peak-free row pass on drops scaled once by `_fast_metrics`. The blocks
-    write disjoint columns of the result, so runs of them go to `workers`
-    threads in any order. Each thread holds one block, and a second for the
-    powers only when there is more than one q."""
-    m = drops.shape[1]
-    sums = np.empty((len(qs), a.size))
-    rows = max(1, _BLOCK_DROPS // m)
-    starts = range(0, a.size, rows)
+def _row_pieces(mask):
+    """The pieces (a, lo, hi, a n + lo) of the true entries of the n x n
+    `mask`: each run of them in row a, columns lo to hi - 1, after a lone
+    false entry between two true ones of a row is made true. Walking that
+    pair costs less than a second subtract per column block, and its sum
+    is not read."""
+    walk = mask.copy()
+    walk[:, 1:-1] |= mask[:, :-2] & mask[:, 2:]
+    # each row's changes alternate between the starts and ends of its runs
+    rows, cols = np.nonzero(np.diff(walk, prepend=False, append=False, axis=1))
+    return rows[::2], cols[::2], cols[1::2], rows[::2] * len(mask) + cols[::2]
+
+
+def _pair_pieces(a, b):
+    """The pieces (a, lo, hi, r) of the pairs (a[r], b[r]): each run of
+    pairs with one a and consecutive b is one piece, r its first pair."""
+    r = np.flatnonzero((np.diff(a, prepend=-1) != 0) | (np.diff(b, prepend=-1) != 1))
+    return a[r], b[r], b[r] + np.diff(r, append=a.size), r
+
+
+def _tiles(pieces, rows):
+    """The pieces (a, lo, hi, d) in tiles of at most `rows` rows, a piece
+    cut where a tile fills: each tile is its row count and its list of
+    (a, lo, hi, d, o), o the row of the tile where the piece starts."""
+    tiles, tile, o = [], [], 0
+    for a, lo, hi, d in zip(*(np.asarray(x).tolist() for x in pieces)):
+        while lo < hi:
+            k = min(hi - lo, rows - o)
+            tile.append((a, lo, lo + k, d, o))
+            lo, d, o = lo + k, d + k, o + k
+            if o == rows:
+                tiles.append((o, tile))
+                tile, o = [], 0
+    return tiles + [(o, tile)] if tile else tiles
+
+
+def _pair_sums(L, c, g, qs, pieces, out, workers=1, peak=False):
+    """Add the sum over edges of w |drop|^q of the pairs of each piece
+    (a, lo, hi, d) into `out`: pair (a, lo + i) into out[k, d + i] at
+    q = qs[k]; returns `out`. The drops of column v of `L` (columns of L+)
+    over a column block of edges are row v of its slab, so a piece takes
+    one subtract per block, and each block adds its sums in block order.
+    Plain mode divides the slabs by c, a power of two that keeps every pair
+    drop below 1. With `peak` (and c = 1) a first walk finds each pair's
+    largest drop magnitude, the second divides by it, and the entry is that
+    peak to the q times the sum, so that huge q stays in range. Each drop
+    is logged once, each q costs one exp and one product per tile, and a
+    zero drop adds exactly 0. The tiles of about `_BLOCK_DROPS` drops do not
+    depend on the thread count; each of `workers` threads walks every block
+    for its run of tiles, with one slab, a tile, and a second for the
+    powers when there is more than one q.
+    """
+    width = max(1, _BLOCK_DROPS // L.shape[1])
+    tiles = _tiles(pieces, max(1, _BLOCK_DROPS // min(width, g.m)))
+    # a few sampled pairs need far less than a full tile
+    size = max((rows for rows, _ in tiles), default=0) * min(width, g.m)
+    top = np.zeros(out.shape[1]) if peak else None
     local = threading.local()
 
-    def fill(run):
-        # the columns of each block of the run
-        if not hasattr(local, "block"):
-            local.block = np.empty((min(rows, a.size), m))
-            local.power = np.empty_like(local.block) if len(qs) > 1 else None
-        for s in run:
-            e = min(s + rows, a.size)
-            diff = _drop_rows(drops, a[s:e], b[s:e], 0, local.block[: e - s])
-            power = None if local.power is None else local.power[: e - s]
-            sums[:, s:e] = _approx_sums(diff, w, qs, peak, power)
+    def tile_peaks(tile, drops, w):
+        most = drops.max(axis=1)
+        for _, lo, hi, d, o in tile:
+            np.maximum(top[d : d + hi - lo], most[o : o + hi - lo],
+                       out=top[d : d + hi - lo])
 
-    # a few runs per worker: a task per block spends a share of its time in
-    # hand-offs between the threads
-    per_run = max(1, -(-len(starts) // (4 * workers)))
-    runs = [starts[c : c + per_run] for c in range(0, len(starts), per_run)]
-    for _ in _ordered_map(fill, runs, workers):
-        pass
-    return sums
+    def tile_sums(tile, drops, w):
+        for _, lo, hi, d, o in tile if peak else ():
+            drops[o : o + hi - lo] /= top[d : d + hi - lo, None]
+        logd = _log(drops)
+        for k, q in enumerate(qs):
+            pw = logd if k == len(qs) - 1 else local.power[: drops.size].reshape(drops.shape)
+            np.exp(np.multiply(logd, q, out=pw), out=pw)
+            # one pair sums in einsum's own loop: the BLAS dot product it
+            # would otherwise call is threaded above 10000 edges and stalls
+            # for milliseconds in some processes
+            sums = np.einsum("e,e->", w, pw[0])[None] if len(pw) == 1 else pw @ w
+            for _, lo, hi, d, o in tile:
+                out[k, d : d + hi - lo] += sums[o : o + hi - lo]
 
+    def walk(run, fn):
+        if not hasattr(local, "tile"):
+            local.tile = np.empty(size)
+            local.power = np.empty(size if len(qs) > 1 else 0)
+        for s in range(0, g.m, width):
+            slab, w = _slab(L, g, s, min(g.m, s + width), c), g.w[s : s + width]
+            for rows, tile in run:
+                drops = local.tile[: rows * w.size].reshape(rows, w.size)
+                for a, lo, hi, _, o in tile:
+                    np.subtract(slab[a], slab[lo:hi], out=drops[o : o + hi - lo])
+                fn(tile, np.abs(drops, out=drops), w)
+            del slab  # freed before the next is gathered
 
-def _edge_block_width(g):
-    """Edges per column block of the symmetric pass and the reach scan:
-    an n-row slab of that many columns holds about `_BLOCK_DROPS` drops."""
-    return max(1, _BLOCK_DROPS // g.n)
+    # one run of tiles per worker
+    per_run = max(1, -(-len(tiles) // workers))
+    runs = [tiles[i : i + per_run] for i in range(0, len(tiles), per_run)]
+    for fn in (tile_peaks, tile_sums) if peak else (tile_sums,):
+        list(_ordered_map(lambda run: walk(run, fn), runs, workers))
+        if fn is tile_peaks:
+            top[top == 0.0] = 1.0
+    if peak:
+        out *= top ** np.array(qs)[:, None]
+    return out
 
 
 def _edge_block(L, g, s, t):
-    """The (t - s) x n slab of drops over the edges [s, t): row e is
-    L[ei[e]] - L[ej[e]], which is column e of the drops array L C^T, as L
-    is exactly symmetric. Rows gather several times faster than columns."""
+    """The (t - s) x k slab of drops over the edges [s, t) of the k columns
+    of `L`, rows of L+: row e is L[ei[e]] - L[ej[e]], so for L = L+ it is
+    column e of the drops array L+ C^T, as L+ is exactly symmetric. Rows
+    gather several times faster than columns."""
     block = np.take(L, g.ei[s:t], axis=0)
     block -= np.take(L, g.ej[s:t], axis=0)
     return block
 
 
-def _edge_drops(Lp, g):
-    """The n x m drops array L+ C^T: row v holds the drop over each edge of
-    L+'s column v, which is its row v, as L+ is exactly symmetric. The ej
-    gather is subtracted in blocks of rows, so no second array of this size
-    is made."""
-    drops = np.take(Lp, g.ei, axis=1)
-    step = max(1, _BLOCK_DROPS // g.m)
-    for v in range(0, g.n, step):
-        drops[v : v + step] -= np.take(Lp[v : v + step], g.ej, axis=1)
-    return drops
+def _slab(L, g, s, t, c):
+    """`_edge_block` divided by c as it is transposed: row v holds the drops
+    of column v of `L` over the edges [s, t), divided by c."""
+    return np.divide(_edge_block(L, g, s, t).T, c, out=np.empty((L.shape[1], t - s)))
 
 
-def _unit_scale(Lp, g, qs, a, b, floor):
+def _unit_scale(Lp, g, qs, floor):
     """The one scale of the fast passes, and their skip rule.
 
     reach[v] is the largest drop magnitude of row v of the drops array
@@ -509,73 +525,73 @@ def _unit_scale(Lp, g, qs, a, b, floor):
     power of two is exact down to the smallest normal float. A pair's drop
     is at most reach[a] + reach[b], so its sum over edges of w |drop / c|^q
     is at most the sum of w times ((reach[a] + reach[b]) / c)^q. Returns c,
-    c^q at each q of `qs` (as a column), and whether that bound of each
-    pair (a[r], b[r]) is at least `floor` at every q: a pair for which it
-    is not cannot be trusted at every q, and where c^q is not a normal
-    float at some q no pair can.
+    c^q at each q of `qs` (as a column), and the n x n mask of the pairs
+    (a, b), a < b, for which that bound is at least `floor` at every q: a
+    pair for which it is not cannot be trusted at every q, and where c^q
+    is not a normal float at some q no pair can.
     """
     reach = np.zeros(g.n)
-    width = _edge_block_width(g)
+    width = max(1, _BLOCK_DROPS // g.n)
     for s in range(0, g.m, width):
         block = _edge_block(Lp, g, s, min(g.m, s + width))
         np.maximum(reach, block.max(axis=0), out=reach)
         np.maximum(reach, -block.min(axis=0), out=reach)
-    top = reach.max()
-    qcol = np.array(qs)[:, None]
+    top, total = reach.max(), g.w.sum()
+    live = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
     with np.errstate(over="ignore", under="ignore"):
         c = np.ldexp(1.0, np.frexp(top)[1] + 1)
-        scale = c**qcol
-        bound = g.w.sum() * ((reach[a] + reach[b]) / c) ** qcol
-    live = (bound >= floor).all(axis=0)
+        scale = c ** np.array(qs)[:, None]
+        # the bounds of a few rows at a time: no n x n array of floats
+        for r in range(0, g.n, width):
+            pair = (reach[r : r + width, None] + reach) / c
+            for q in qs:
+                live[r : r + width] &= total * pair**q >= floor
     if not (0.0 < top < np.inf and np.all((scale >= _TINY) & (scale < np.inf))):
         live[:] = False
     return c, scale, live
 
 
 def _trusted(sums, scale, floor):
-    """The metrics c^q times `sums` of a fast pass, and the trust rule: an
-    entry is ok where its sum is at least `floor` and its metric is finite
-    and positive."""
+    """The metrics c^q times `sums` of a fast pass, taken in place, and the
+    trust rule: an entry is ok where its sum is at least `floor` and its
+    metric is finite and positive."""
+    ok = sums >= floor
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        metric = sums * scale
-    return metric, (sums >= floor) & np.isfinite(metric) & (metric > 0.0)
+        metric = np.multiply(sums, scale, out=sums)
+    ok &= np.isfinite(metric) & (metric > 0.0)
+    return metric, ok
 
 
-def _fast_metrics(Lp, drops, g, qs, a, b, workers=1):
-    """Approximated metric of the pairs (a[r], b[r]) at each q of `qs` by
-    the fast passes, and where it is trusted. The first m pairs are the
-    edge pairs (ej[f], ei[f]); `drops` is the drops array L+ C^T of
-    `_edge_drops`, needed only when there are other pairs (else None).
-
-    The edge pairs take the symmetric pass `_edge_pair_sums` on the drops
-    it gathers from L+, divided by the scale c of `_unit_scale` block by
-    block; the other pairs take the peak-free row
-    pass, `_pair_sums` with `peak` False, on `drops` divided in place by c
-    and multiplied back by it before the return. Both give the plain sums
-    over edges of w |drop / c|^q, which `_trusted` turns into metrics and
-    ok entries with the floor m `_SUM_FLOOR`, times the largest weight
-    where that is above 1. A pair that `_unit_scale` rules out skips its
-    pass and comes back not ok; the symmetric pass, which takes every edge
-    at once, is skipped when it rules out every edge.
+def _fast_metrics(Lp, g, qs, workers=1):
+    """Approximated metric of every pair (a, b), a < b, at each q of `qs`
+    by the fast passes (a len(qs) x n x n array, 0 where not trusted), and
+    the n x n mask of the pairs trusted at every q. On column blocks of L+
+    divided by the scale c of `_unit_scale`, the edge pairs (ej[f], ei[f])
+    take the symmetric pass `_edge_pair_sums` and the other pairs the plain
+    mode of `_pair_sums`, for the plain sums over edges of w |drop / c|^q;
+    `_trusted` turns them into metrics and ok entries with the floor m
+    `_SUM_FLOOR`, times the largest weight where that is above 1. A pair
+    that `_unit_scale` rules out is not walked and not ok; the symmetric
+    pass is skipped when it rules out every edge.
     """
-    m = g.m
+    n, m = g.n, g.m
     floor = m * max(1.0, g.w.max()) * _SUM_FLOOR
-    c, scale, live = _unit_scale(Lp, g, qs, a, b, floor)
+    c, scale, live = _unit_scale(Lp, g, qs, floor)
     edge_sums = 0.0
-    if live[:m].any():
+    if live[g.ej, g.ei].any():
         edge_sums = _edge_pair_sums(Lp, c, g, qs, workers)
     # made after the symmetric pass: made before, these arrays sit below
     # its temporaries on the heap and raise the process's peak memory
-    sums = np.zeros((len(qs), a.size))
-    sums[:, :m] = edge_sums
-    rows = m + np.flatnonzero(live[m:])
-    if rows.size:
-        drops /= c
-        sums[:, rows] = _pair_sums(drops, g.w, qs, a[rows], b[rows], workers,
-                                   peak=False)
-        drops *= c
-    metric, ok = _trusted(sums, scale, floor)
-    return metric, ok & live
+    sums = np.zeros((len(qs), n, n))
+    rest = live.copy()
+    rest[g.ej, g.ei] = False
+    if rest.any():
+        _pair_sums(Lp, c, g, qs, _row_pieces(rest), sums.reshape(len(qs), -1), workers)
+    sums[:, g.ej, g.ei] = edge_sums
+    metric, ok = _trusted(sums, scale[:, :, None], floor)
+    ok = ok.all(axis=0) & live
+    np.copyto(metric, 0.0, where=~ok)
+    return metric, ok
 
 
 def _edge_pair_sums(Lp, c, g, qs, workers=1):
@@ -590,7 +606,7 @@ def _edge_pair_sums(Lp, c, g, qs, workers=1):
     scaled p = 2 resistances R of the edges, adds w |R|^q, taken with `**`.
 
     D is never held whole, nor is a scaled copy of L+. Each column block E
-    of `_edge_block_width` edges gathers its n x |E| slab of D once, divided
+    of `_BLOCK_DROPS` // n edges gathers its n x |E| slab of D once, divided
     by c as it is transposed, so every entry has the bytes it has in the
     whole drops array divided by c. The block's rows f < e are taken in
     tiles with one matrix-vector product into their rows and one into
@@ -615,7 +631,7 @@ def _edge_pair_sums(Lp, c, g, qs, workers=1):
     sums = w * resist ** np.array(qs)[:, None]
     one_q = len(qs) == 1
     budget = _BLOCK_DROPS * (2 if one_q else 1)
-    width = _edge_block_width(g)
+    width = max(1, _BLOCK_DROPS // g.n)
     local = threading.local()
 
     def tiles(s, t):
@@ -631,7 +647,7 @@ def _edge_pair_sums(Lp, c, g, qs, workers=1):
         s, t = block
         if not hasattr(local, "flat"):
             local.flat = np.empty(2 * max(_BLOCK_DROPS, m))
-        slab = np.divide(_edge_block(Lp, g, s, t).T, c, out=np.empty((g.n, t - s)))
+        slab = _slab(Lp, g, s, t, c)
         spans = tiles(s, t)
         out = []
         for r, r2, c0 in spans:
@@ -691,18 +707,20 @@ def approx_metric(g, p, i, j, pinv=None):
 
 def approx_metrics(g, ps, pairs, pinv=None):
     """`approx_metric` of every pair (i, j) of `pairs` at every p of `ps`:
-    entry [k, r] is the metric of pairs[r] at ps[k]. One pass of the row
-    path over the pairs' stacked drops takes them all; a sweep of a few
-    sampled pairs over a p grid costs one call instead of one per value.
+    entry [k, r] is the metric of pairs[r] at ps[k]. One peak-scaled walk
+    of `_pair_sums` over the columns of L+ at the pairs' vertices takes
+    them all; a sweep of a few sampled pairs over a p grid costs one call
+    instead of one per value.
     """
     qs = tuple(conjugate_exponent(p) for p in ps)
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
     for i, j in pairs:
         _check_pair(g, i, j)
     pinv = _checked_pinv(pinv, g)
-    # rows of L+ are its columns, as L+ is exactly symmetric
-    y = pinv.matrix[pairs[:, 0]] - pinv.matrix[pairs[:, 1]]
-    sums = _approx_sums(y[:, g.ei] - y[:, g.ej], g.w, qs)
+    verts, at = np.unique(pairs, return_inverse=True)
+    a, b = at.reshape(-1, 2).T
+    sums = _pair_sums(pinv.matrix[:, verts], 1.0, g, qs, _pair_pieces(a, b),
+                      np.zeros((len(qs), a.size)), peak=True)
     return np.stack([_approx_form(metric, p, "metric")
                      for metric, p in zip(sums, ps)])
 
@@ -760,53 +778,36 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     """Approximate all-pairs matrices of `g`, one `DistanceMatrix` per p of
     `ps`, in that order, all from one pseudoinverse (computed when `pinv`
     is None, else checked), on `workers` threads (None: the cores
-    available to the process). The matrices have the same bytes for any
-    thread count.
+    available to the process; below 1, `InvalidParams`). The matrices have
+    the same bytes for any thread count.
 
-    At p = 2 the matrix takes its closed form. The other p share one pass
-    over the pairs, on the edge drops of the L+ columns, the drops array
-    L+ C^T. `_fast_metrics` scales them by one power of two, so that no
-    pair drop exceeds 1, and on them the pairs that are edges take the
-    symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop
-    once instead of twice and reads column blocks of the array gathered
-    from L+, and the other pairs the peak-free row pass, which needs no row
-    max or divide per block. A pair whose value either pass's rules do not
-    trust at some p takes the row path `_approx_sums` at every p, which
-    scales each pair's drops by their peak, on the unscaled drops. The
-    whole drops array (`_edge_drops`) is built once, and only when some
-    pair takes a row pass: a complete graph enters neither row pass unless
-    an edge pair's value fails, so it holds O(n^2) floats where the array
-    holds n m. All three passes walk blocks of about `_BLOCK_DROPS` drops
-    (twice that in a tile of the symmetric pass at a single p) and take
-    one log per drop and one exp per drop and p.
+    At p = 2 the matrix takes its closed form. The other p share one walk
+    over column blocks of L+, each the edge drops of the L+ columns over a
+    block of edges, scaled by one power of two in `_fast_metrics`: the
+    pairs that are edges take the symmetric pass `_edge_pair_sums`, which
+    logs each (edge, edge) drop once instead of twice, and the other pairs
+    the plain mode of `_pair_sums`. A pair whose value their rules do not
+    trust at some p takes the peak-scaled mode of `_pair_sums` at every p.
+    No path holds the n x m drops array: the kernel holds the len(ps) x n
+    x n sums and, per thread, a slab and a tile of about `_BLOCK_DROPS`
+    drops (a tile of the symmetric pass at a single p takes twice that).
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
     pinv = _checked_pinv(pinv, g)
-    workers = available_cores() if workers is None else max(1, workers)
+    workers = _checked_workers(workers)
     Lp = pinv.matrix
     n = g.n
     qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
-    upper = np.zeros((len(qs), n, n))
     if qs and g.m:
-        edge = np.zeros((n, n), dtype=bool)
-        edge[g.ej, g.ei] = True
-        # the edge pairs (ej[f], ei[f]) first, then the other pairs
-        a, b = np.nonzero(np.triu(~edge, 1))
-        a, b = np.concatenate([g.ej, a]), np.concatenate([g.ei, b])
-        drops = _edge_drops(Lp, g) if a.size > g.m else None
-        metric, ok = _fast_metrics(Lp, drops, g, qs, a, b, workers)
-        keep = ok.all(axis=0)
-        upper[:, a[keep], b[keep]] = metric[:, keep]
-        # the pairs whose entry fails at some p take the peak-scaled row
-        # path, in row order
-        rest = np.zeros((n, n), dtype=bool)
-        rest[a[~keep], b[~keep]] = True
-        a, b = np.nonzero(rest)
+        upper, ok = _fast_metrics(Lp, g, qs, workers)
+        # the pairs whose entry fails at some p take the peak-scaled mode
+        a, b = np.nonzero(np.triu(~ok, 1))
         if a.size:
-            if drops is None:
-                drops = _edge_drops(Lp, g)
-            upper[:, a, b] = _pair_sums(drops, g.w, qs, a, b, workers)
+            upper[:, a, b] = _pair_sums(Lp, 1.0, g, qs, _pair_pieces(a, b),
+                                        np.zeros((len(qs), a.size)), workers, True)
+    else:
+        upper = np.zeros((len(qs), n, n))
     out = []
     k = 0
     for p in ps:
@@ -857,8 +858,7 @@ def distance_matrix(g, p, mode="approx", form="metric", cfg=None, pinv=None,
     pinv = _checked_pinv(pinv, g)
     cfg = cfg or SolverConfig()
     tasks = [(g, p, form, cfg, pinv, i) for i in range(n - 1)]
-    if workers is None:
-        workers = available_cores()
+    workers = _checked_workers(workers)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

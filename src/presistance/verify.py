@@ -19,7 +19,7 @@ import numpy as np
 
 from . import resistance as _resistance_mod
 from .clustering import error_rate, k_medoids
-from .errors import PresistanceError
+from .errors import PresistanceError, check_seed
 from .graph import build_graph, generate, incidence, laplacian
 from .numerics import (
     approximation_bound,
@@ -489,7 +489,7 @@ def run_suites(names=None, seed=0, verbose=True):
     """Run the named suites (all by default); returns a machine-readable
     report dict with a top-level `passed` flag."""
     names = list(names) if names else list(SUITES)
-    report = {"seed": seed, "suites": {}, "passed": True}
+    report = {"seed": check_seed(seed), "suites": {}, "passed": True}
     for name in names:
         if name not in SUITES:
             raise PresistanceError(f"unknown suite {name!r}; known: {sorted(SUITES)}")

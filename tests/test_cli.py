@@ -504,6 +504,33 @@ def test_worker_count_below_one_exits_2(tmp_path, monkeypatch, capsys, mode,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["distances", "cluster", "bench", "bound",
+                                        "ratio", "verify"])
+def test_negative_seed_exits_2(tmp_path, blob_csv, capsys, subcommand):
+    # numpy's generators reject a negative seed with a bare ValueError: every
+    # subcommand that takes --seed exits 2 with the toolkit's error instead,
+    # and writes nothing
+    gen = ["--generate", "gnp_connected:n=10,edge_prob=0.5"]
+    dist = tmp_path / "d.bin"
+    assert run(["distances", *gen, "--p", "3", "--out", dist]) == 0
+    out = tmp_path / "out"
+    argv = {
+        "distances": ["distances", *gen, "--p", "3", "--out", out],
+        "cluster": ["cluster", "--distances", dist, "--k", "2", "--out", out],
+        "bench": ["bench", "--features", blob_csv, "--mu-grid", "1.0",
+                  "--sigma-grid", "1.0", "--p-grid", "3", "--repetitions", "1",
+                  "--out-dir", out],
+        "bound": ["bound", *gen, "--out", out],
+        "ratio": ["ratio", *gen, "--pairs", "2", "--out", out],
+        "verify": ["verify", "--suite", "laplacian-identities", "--quiet",
+                   "--report", out],
+    }[subcommand]
+    capsys.readouterr()
+    assert run(argv + ["--seed", "-3"]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_artifact_bytes_independent_of_output_path(tmp_path):
     dists = []
     for name in ("a.bin", "b.bin"):

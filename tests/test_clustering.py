@@ -14,7 +14,7 @@ from presistance import (
     sc2_baseline,
 )
 from presistance.clustering import _pam_build, _pam_pick, _pam_swap, pam_build_run
-from presistance.errors import InvalidK, LengthMismatch, NonFinite
+from presistance.errors import InvalidK, InvalidParams, LengthMismatch, NonFinite
 
 
 def block_matrix(sizes, within=0.1, across=10.0):
@@ -53,6 +53,9 @@ def test_kmedoids_validation():
         k_medoids(D[:5], 2)
     with pytest.raises(InvalidK):
         k_medoids(D, 2, restarts=0)
+    # numpy's generators take no negative seed: a toolkit error, not theirs
+    with pytest.raises(InvalidParams):
+        k_medoids(D, 2, seed=-1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

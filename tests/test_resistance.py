@@ -37,12 +37,12 @@ from presistance import resistance, verify
 from presistance.errors import (
     DimensionMismatch,
     FingerprintMismatch,
+    InvalidParams,
     InvalidP,
     SingularShift,
 )
 from presistance.numerics import conjugate_exponent
 from presistance.resistance import (
-    _approx_sums,
     _edge_kernel,
     _hessian,
     _hessian_layout,
@@ -327,9 +327,8 @@ def test_approx_metric_forms():
     # tree path of length 2 at p=3: resistance 4, metric 4^(1/2) = 2
     assert approx_metric(g, 3.0, 0, 2, pinv) == pytest.approx(2.0)
     # identical endpoints give a zero metric at the kernel level
-    ei, ej, w = g.ei, g.ej, g.w
-    y = pinv.matrix[:, 1] - pinv.matrix[:, 1]
-    assert _approx_sums((y[ei] - y[ej])[None, :], w, (1.5,))[0, 0] == 0.0
+    assert resistance._pair_sums(pinv.matrix, 1.0, g, (1.5,), ([1], [1], [2], [0]),
+                                 np.zeros((1, 1)), peak=True)[0, 0] == 0.0
 
 
 def test_approx_rejects_mismatched_pinv():
@@ -659,7 +658,7 @@ def _every_pair(g):
 
 
 def _assert_every_pair_matches_pinv_reference(g):
-    # edge pairs take the symmetric kernel, the others the row path
+    # edge pairs take the symmetric kernel, the others the plain mode
     _assert_matrices_match_pinv_reference(g, _every_pair(g), KERNEL_PS + (np.inf,))
     _assert_matrices_match_pinv_reference(g, _every_pair(g), (1.01,), tol=1e-12)
 
@@ -703,10 +702,10 @@ def _half_iris(iris_csv, mu, sigma):
         mu=mu, sigma=sigma, on_disconnect="largest_component"))
 
 
-def _assert_independent_of_block_size(g, monkeypatch):
+def _assert_independent_of_block_size(g, monkeypatch, sizes):
     pinv = laplacian_pinv(g)
     base = [dm.matrix for dm in distance_matrices(g, KERNEL_PS, pinv)]
-    for drops in (1, g.n * g.m):
+    for drops in sizes:
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", drops)
         for want, dm in zip(base, distance_matrices(g, KERNEL_PS, pinv)):
             assert np.all(np.abs(dm.matrix - want) <= 1e-13 * want)
@@ -723,22 +722,22 @@ def test_distance_matrices_independent_of_block_size(iris_csv, monkeypatch):
     # far more
     g = _half_iris(iris_csv, 1.0, 1e-3)
     assert g.m == g.n * (g.n - 1) // 2
-    _assert_independent_of_block_size(g, monkeypatch)
+    _assert_independent_of_block_size(g, monkeypatch, (1, g.n * g.m))
 
 
 def test_distance_matrices_independent_of_block_size_sparse(iris_csv,
                                                              monkeypatch):
     # the k-NN graph of half of iris at mu = 0.1: 995 of its 1225 pairs are
-    # not edges and take the peak-free row pass, in blocks of one pair and
-    # in one block of all of them
+    # not edges and take the plain mode, in column blocks of one edge with
+    # tiles of n pairs, and in one column block with one tile of them all
     g = _half_iris(iris_csv, 0.1, 1.0)
     assert g.m < g.n * (g.n - 1) // 4
-    _assert_independent_of_block_size(g, monkeypatch)
+    _assert_independent_of_block_size(g, monkeypatch, (g.n, g.n * g.m))
 
 
 def _row_peak_reference(g, pinv, q):
     # the metric of every pair with its drops scaled by their peak, as the
-    # peak-scaled row path takes it
+    # peak-scaled mode takes it
     Lp = pinv.matrix
     want = np.zeros((g.n, g.n))
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
@@ -755,8 +754,8 @@ def _row_peak_reference(g, pinv, q):
 @pytest.mark.parametrize("sigma", [1.0, 10.0])
 def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
     # p = 1.001 is q = 1001: on half of iris at mu = 1 the fast passes'
-    # scale c^q overflows, so every edge pair takes the row path. The
-    # reference scales each pair's drops by their peak, as the row path
+    # scale c^q overflows, so every edge pair takes the peak-scaled mode.
+    # The reference scales each pair's drops by their peak, as that mode
     # does; where it is finite and positive the kernel must agree
     ds = load_features(iris_csv, has_labels=True, label_column="last")
     half = FeatureDataset(X=ds.X[::2], labels=ds.labels[::2])
@@ -773,14 +772,16 @@ def test_distance_matrices_extreme_q_falls_back_to_row_peak(iris_csv, sigma):
 
 
 def _recording_pair_sums(monkeypatch):
-    # the pairs (a, b) of each `_pair_sums` call, by whether it scales them
-    # by their peak (the row path) or not (the peak-free pass)
+    # the pairs (a, b) of each walk of `_pair_sums`, by whether it scales
+    # them by their peak (the peak-scaled mode) or not (the plain mode)
     calls = {True: [], False: []}
     pair_sums = resistance._pair_sums
 
-    def recording(drops, w, qs, a, b, workers=1, peak=True):
-        calls[peak].append((a.copy(), b.copy()))
-        return pair_sums(drops, w, qs, a, b, workers, peak)
+    def recording(L, c, g, qs, pieces, out, workers=1, peak=False):
+        a, lo, hi = (np.asarray(x) for x in pieces[:3])
+        b = np.concatenate([np.arange(*r) for r in zip(lo, hi)])
+        calls[peak].append((np.repeat(a, hi - lo), b))
+        return pair_sums(L, c, g, qs, pieces, out, workers, peak)
 
     monkeypatch.setattr(resistance, "_pair_sums", recording)
     return calls
@@ -792,9 +793,11 @@ def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
     # the k-NN graph of half of iris at mu = 0.1. At p = 1.001, q = 1001,
     # a pair's drops scaled to at most 1 mostly leave its sum below the
     # floor (or c^q out of range): the pairs that are not edges go back to
-    # the peak-scaled row path (all 995 here at both sigma), and where its
+    # the peak-scaled mode (all 995 here at both sigma), and where its
     # reference is finite and positive (246 and 38 entries) they agree with
-    # it. At p = 1.1 and 2.9 no pair goes back
+    # it. At p = 1.1 and 2.9 no pair goes back, and the plain mode takes
+    # every pair that is not an edge (and the edges between two of them in
+    # a row, whose sums it does not read)
     g = _half_iris(iris_csv, 0.1, sigma)
     pinv = laplacian_pinv(g)
     edge = np.zeros((g.n, g.n), dtype=bool)
@@ -804,7 +807,7 @@ def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
     back = sum(np.count_nonzero(~edge[a, b]) for a, b in calls[True])
     assert back > 0
     # the bound from the rows' largest drops keeps most of them out of the
-    # pass (10 of 995 enter it at sigma = 1, none at sigma = 10)
+    # plain mode (10 of 995 enter it at sigma = 1, none at sigma = 10)
     assert sum(a.size for a, _ in calls[False]) < back / 20
     assert not np.isnan(got).any()
     want = _row_peak_reference(g, pinv, conjugate_exponent(1.001))
@@ -817,8 +820,8 @@ def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
         calls[False].clear()
         distance_matrices(g, (p,), pinv)
         assert sum(a.size for a, _ in calls[True]) == 0, p
-        assert sum(a.size for a, _ in calls[False]) == np.count_nonzero(
-            np.triu(~edge, 1)), p
+        assert sum(np.count_nonzero(~edge[a, b]) for a, b in calls[False]) \
+            == np.count_nonzero(np.triu(~edge, 1)), p
 
 
 def _unit_drops_graph(target):
@@ -840,24 +843,27 @@ def test_peak_free_pass_rejects_sums_below_the_floor():
     # though its bound from the rows' largest drops (0.6^602) is above it,
     # so the skip rule lets every pair in. Pair (0, 2) underflows to 0.
     # Both are not ok at q = 602 under the trust rule, and every ok entry
-    # matches its sum from the definition
+    # matches its sum from the definition. The plain mode reads the drops
+    # from the column block's slab, whose rows are the target's
     target = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
     g, L = _unit_drops_graph(target)
     before = L.copy()
-    drops = resistance._edge_drops(L, g)
-    assert drops[:3].tobytes() == target.tobytes() and not drops[3:].any()
+    slab = resistance._slab(L, g, 0, g.m, 1.0)
+    assert slab[:3].tobytes() == target.tobytes() and not slab[3:].any()
     a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
     qs = (602.0, 3.0)
     floor = 2 * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(L, g, qs, a, b, floor)
-    assert c == 1.0 and live.all()
+    c, scale, live = resistance._unit_scale(L, g, qs, floor)
+    assert c == 1.0 and live[a, b].all()
     assert L.tobytes() == before.tobytes()
     # times 2^20 the bounds relative to c keep their values, but c^602
     # overflows: no pair is let in
-    _, _, live = resistance._unit_scale(L * 2.0**20, g, qs, a, b, floor)
+    _, _, live = resistance._unit_scale(L * 2.0**20, g, qs, floor)
     assert not live.any()
-    sums = resistance._pair_sums(drops / c, g.w, qs, a, b, peak=False)
+    sums = resistance._pair_sums(L, c, g, qs, resistance._pair_pieces(a, b),
+                                 np.zeros((len(qs), a.size)))
     metric, ok = resistance._trusted(sums, scale, floor)
+    assert L.tobytes() == before.tobytes()
     assert ok.tolist() == [[False, False, True], [True, True, True]]
     d = np.abs(target[a] - target[b])
     for k, q in enumerate(qs):
@@ -867,7 +873,7 @@ def test_peak_free_pass_rejects_sums_below_the_floor():
 
 def test_peak_free_pass_not_taken_on_complete_graphs(iris_csv, monkeypatch):
     # every pair of a complete graph is an edge: the symmetric kernel takes
-    # them all, and those it rejects the peak-scaled row path
+    # them all, and those it rejects the peak-scaled mode
     calls = _recording_pair_sums(monkeypatch)
     ds = load_features(iris_csv, has_labels=True, label_column="last")
     iris = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=1.0))
@@ -880,10 +886,12 @@ def test_peak_free_pass_not_taken_on_complete_graphs(iris_csv, monkeypatch):
 @pytest.mark.parametrize("case", ["complete", "weighted", "knn", "half_iris"])
 def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
                                                          monkeypatch):
-    # small blocks give many column blocks and many row blocks. The tiles'
-    # row and column products are added in a fixed order on the calling
-    # thread and the row blocks write disjoint columns, so every matrix has
-    # the same bytes at any thread count
+    # small blocks give many column blocks and many tiles of pairs. The
+    # symmetric tiles' row and column products are added in a fixed order
+    # on the calling thread; the other pairs' tiles are fixed whatever the
+    # thread count, and each run of them walks every column block and adds
+    # only into its own sums, in block order. So every matrix has the same
+    # bytes at any thread count
     if case in ("complete", "weighted"):
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
         g = generate("complete", n=12)
@@ -899,33 +907,31 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
         ps = KERNEL_PS
     else:
         # at q = 1001 the fast passes' scale c^q overflows and every edge
-        # pair takes the row path; at p = 1.1 and 2.9 alone they would pass
+        # pair takes the peak-scaled mode; at p = 1.1 and 2.9 alone they pass
         monkeypatch.setattr(resistance, "_BLOCK_DROPS", 20000)
         g = _half_iris(iris_csv, 1.0, 1.0)
         ps = (1.001, 1.1, 2.9)
     pinv = laplacian_pinv(g)
-    # the threads that take the peak-free pass's blocks
+    calls = _recording_pair_sums(monkeypatch)
+    # the threads that gather column blocks
     threads = []
-    approx_sums = resistance._approx_sums
+    slab = resistance._slab
 
-    def recording(drops, w, qs, peak=True, power=None):
-        if not peak:
-            threads.append(threading.get_ident())
-        return approx_sums(drops, w, qs, peak, power)
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return slab(*args)
 
-    monkeypatch.setattr(resistance, "_approx_sums", recording)
+    monkeypatch.setattr(resistance, "_slab", recording)
     base = [dm.matrix for dm in distance_matrices(g, ps, pinv, workers=1)]
     for workers in (2, 3):
         threads.clear()
+        calls[False].clear()
         for want, dm in zip(base, distance_matrices(g, ps, pinv, workers=workers)):
             assert dm.matrix.tobytes() == want.tobytes(), (case, workers, dm.p)
-        if case == "knn":
-            # every block on the pool; a run holds at most an eighth of
-            # them, so 2 blocks or more make more than one run
-            assert threading.get_ident() not in threads
-            assert len(threads) > 1
-        else:
-            assert not threads
+        # every column block is gathered on the pool; only the k-NN graph
+        # has pairs that are not edges, for the plain mode
+        assert threads and threading.get_ident() not in threads
+        assert bool(calls[False]) == (case == "knn")
 
 
 def test_one_p_strips_match_the_grid_and_any_thread_count(iris_csv):
@@ -983,7 +989,7 @@ def test_distance_matrices_threads_under_stress(monkeypatch):
 
 
 def test_distance_matrices_threads_keep_the_callers_error_state(iris_csv):
-    # at q = 1001 the row path's peak^q overflows on half of iris at
+    # at q = 1001 the peak-scaled mode's peak^q overflows on half of iris at
     # sigma = 10: under the caller's errstate that raises on every thread
     g = _half_iris(iris_csv, 1.0, 10.0)
     pinv = laplacian_pinv(g)
@@ -999,10 +1005,10 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
     # half of iris at mu = 1 and p = 1.001, q = 1001. The scale c is 1/16
     # at sigma = 0.01 and 1024 at sigma = 10, so c^q underflows to 0 or
     # overflows: the skip rule rules out every edge, the fast passes take
-    # no log, and every edge takes the row path, where the symmetric pass
-    # would have sent it. Run anyway, that pass rejects every edge at
-    # q = 1001 under the trust rule and keeps them all at p = 1.1 and 2.9.
-    # Skipped or not, the entries are the same
+    # no log, and every edge takes the peak-scaled mode, where the
+    # symmetric pass would have sent it. Run anyway, that pass rejects
+    # every edge at q = 1001 under the trust rule and keeps them all at
+    # p = 1.1 and 2.9. Skipped or not, the entries are the same
     g = _half_iris(iris_csv, 1.0, sigma)
     pinv = laplacian_pinv(g)
     ps = (1.001, 1.1, 2.9)
@@ -1018,16 +1024,16 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
         return log(x)
 
     monkeypatch.setattr(resistance, "_log", counting_log)
-    _, ok = resistance._fast_metrics(Lp, None, g, qs, g.ej, g.ei)
+    _, ok = resistance._fast_metrics(Lp, g, qs)
     assert not logged and not ok.any()
     # at p = 1.1 and 2.9 alone the pass scales the drops it gathers, keeps
     # every edge and leaves L+ with its bytes
-    _, ok = resistance._fast_metrics(Lp, None, g, qs[1:], g.ej, g.ei)
-    assert logged and ok.all()
+    _, ok = resistance._fast_metrics(Lp, g, qs[1:])
+    assert logged and ok[g.ej, g.ei].all()
     assert Lp.tobytes() == before.tobytes()
     # without the skip rule the pass runs, and rejects every edge at q = 1001
     floor = g.m * max(1.0, g.w.max()) * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(Lp, g, qs, g.ej, g.ei, floor)
+    c, scale, live = resistance._unit_scale(Lp, g, qs, floor)
     assert not live.any()
     logged.clear()
     sums = resistance._edge_pair_sums(Lp, c, g, qs)
@@ -1051,7 +1057,7 @@ def test_edge_pairs_fall_back_where_the_pinv_is_wrong(iris_csv, monkeypatch):
     # (ROADMAP item 1) its L+ has dropped lambda_2 = 1.4e-14 and has rank
     # n - 2. At p = 1.01 the sums of some edge pairs
     # fall below the floor (207 of 2775 here) and those edges take the
-    # peak-scaled row path. At every p the entries agree with the
+    # peak-scaled mode. At every p the entries agree with the
     # peak-scaled reference on the same L+ wherever it is finite and
     # positive
     g = _half_iris(iris_csv, 1.0, 10.0)
@@ -1108,7 +1114,8 @@ def test_distance_matrices_log_each_edge_pair_drop_once(monkeypatch):
     # (edge, edge) drop of the strict upper triangle once however many p,
     # and each strip of k rows in a column block logs the k (k + 1) / 2
     # entries of its square on and below the diagonal as 1s; with several
-    # strips that stays below the row path's m^2 logs. Each tile is one log
+    # strips that stays below the m^2 logs of taking each edge pair alone.
+    # Each tile is one log
     g = generate("complete", n=40)
     n, m = g.n, g.m
     logged = []
@@ -1180,33 +1187,62 @@ def test_complete_graph_never_holds_its_drops_array(iris_csv):
     assert peak < 4 * 2**20 < g.n * g.m * 8, peak
 
 
+def _blob_knn_graph(n=300, seed=0):
+    # n points in eight Gaussian blobs in 4-d (centres from N(0, 3^2), unit
+    # noise) and their union k-NN graph at mu = 0.04 (k = 12), sigma = 0.5:
+    # the sparse graph of the staged command line's benchmark
+    rng = np.random.default_rng(seed)
+    centres = rng.normal(0.0, 3.0, size=(8, 4))
+    X = centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, 4))
+    return knn_gaussian_graph(FeatureDataset(X=X, labels=None), GraphBuildParams(
+        mu=0.04, sigma=0.5, on_disconnect="largest_component"))
+
+
+def _kernel_peak(g, ps, pinv):
+    # the tracemalloc peak of one call at one worker, above its entry
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        distance_matrices(g, ps, pinv, workers=1)
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_drops_array_built_only_for_row_passes(iris_csv, monkeypatch):
-    # a k-NN graph with pairs that are not edges builds its drops array
-    # once, for the peak-free pass and the row path alike; a complete graph
-    # builds it only when the fast rules send some edge pair to the row
-    # path, as every edge of half of iris at mu = 1 goes at p = 1.001
-    built = []
-    edge_drops = resistance._edge_drops
+@pytest.mark.parametrize("p", [10.0, 1.001])
+def test_knn_graph_never_holds_its_drops_array(p):
+    # the k-NN graph of 300 blob points (m = 2330): its drops array L+ C^T
+    # would take n m floats (5.6 MB), and the kernel peaked at 9.7 MB while
+    # it held the array. Walking column blocks, the kernel holds O(n^2)
+    # floats for its pairs and O(`_BLOCK_DROPS`) per worker: 2.7 MB at
+    # p = 10, where the plain mode takes every pair that is not an edge,
+    # and 3.9 MB at p = 1.001, where every such pair takes the peak-scaled
+    # mode
+    g = _blob_knn_graph()
+    assert g.n == 300 and g.m < g.n * (g.n - 1) // 10
+    bound = (4 * g.n**2 + 3 * resistance._BLOCK_DROPS) * 8
+    assert _kernel_peak(g, (p,), laplacian_pinv(g)) < bound < g.n * g.m * 8
 
-    def counting(Lp, g):
-        built.append(g.m)
-        return edge_drops(Lp, g)
 
-    monkeypatch.setattr(resistance, "_edge_drops", counting)
-    sparse = _half_iris(iris_csv, 0.1, 1.0)
-    assert sparse.m < sparse.n * (sparse.n - 1) // 2
-    for ps in ((2.9,), (1.001, 1.1, 2.9)):
-        built.clear()
-        distance_matrices(sparse, ps)
-        assert built == [sparse.m], ps
-    complete = _half_iris(iris_csv, 1.0, 1.0)
-    assert complete.m == complete.n * (complete.n - 1) // 2
-    built.clear()
-    distance_matrices(complete, (1.1, 2.9, 10.0))
-    assert not built
-    distance_matrices(complete, (1.001,))
-    assert built == [complete.m]
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("ps", [(1.1, 2.9, 10.0), (1.001,)],
+                         ids=["edge_pass", "peak_mode"])
+def test_no_path_builds_the_drops_array(ps, iris_csv, monkeypatch):
+    # half of iris at mu = 1 is complete (n = 75, m = 2775). At p = 1.1,
+    # 2.9 and 10 the symmetric pass keeps every edge pair; at p = 1.001
+    # every edge pair takes the peak-scaled mode. Either way the kernel
+    # holds O(n^2) floats per p and O(`_BLOCK_DROPS`) per worker, well
+    # below the n m floats of the drops array
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 8192)
+    g = _half_iris(iris_csv, 1.0, 1.0)
+    assert g.m == g.n * (g.n - 1) // 2
+    pinv = laplacian_pinv(g)
+    calls = _recording_pair_sums(monkeypatch)
+    bound = (3 * len(ps) * g.n**2 + 6 * resistance._BLOCK_DROPS) * 8
+    assert _kernel_peak(g, ps, pinv) < bound < g.n * g.m * 8 / 2
+    assert not calls[False]
+    assert bool(calls[True]) == (ps == (1.001,))
 
 
 def test_many_column_blocks_match_the_reference_at_any_thread_count(
@@ -1234,11 +1270,35 @@ def test_many_column_blocks_match_the_reference_at_any_thread_count(
     assert np.all(np.abs(got[0][a, b] - want) <= 1e-12 * want)
 
 
+def test_knn_column_blocks_match_the_reference_at_any_thread_count(monkeypatch):
+    # the k-NN graph of 300 blob points in column blocks of 20 edges: 117
+    # blocks, each of which every tile of row pieces walks. At p = 1.5 and
+    # 10 the matrices have the same bytes at 1, 2 and 3 workers; at p = 10
+    # they match the metric from its definition on numpy's pinv on sampled
+    # pairs (5e-13 relative here; at p = 1.5 the two pseudoinverses alone
+    # put some entries 1.9e-12 apart)
+    monkeypatch.setattr(resistance, "_BLOCK_DROPS", 6000)
+    g = _blob_knn_graph()
+    assert -(-g.m // (6000 // g.n)) == 117
+    calls = _recording_pair_sums(monkeypatch)
+    pinv = laplacian_pinv(g)
+    ps = (1.5, 10.0)
+    got = [distance_matrices(g, ps, pinv, workers=workers) for workers in (1, 2, 3)]
+    assert calls[False] and not calls[True]
+    for dms in got[1:]:
+        assert [dm.matrix.tobytes() for dm in dms] == [dm.matrix.tobytes() for dm in got[0]]
+    rng = np.random.default_rng(7)
+    pairs = [tuple(map(int, rng.choice(g.n, size=2, replace=False))) for _ in range(200)]
+    _assert_matrices_match_pinv_reference(g, pairs, (10.0,), tol=1e-12)
+
+
 @pytest.mark.parametrize("order", ["runs", "scattered"])
 def test_drop_rows_match_the_plain_difference(order, monkeypatch):
-    # rows in long runs (one a, consecutive b) take a subtract per run;
-    # scattered rows, as a k-NN graph's edges come, are gathered a chunk at
-    # a time. Both give the bytes of the plain row difference
+    # the rows of a tile, from a column block's slab: rows in long runs
+    # (one a, consecutive b), as the pairs that are not edges come, take a
+    # subtract per run; scattered rows, as a k-NN graph's edges come, are
+    # gathered a chunk at a time. Both give the bytes of the plain row
+    # difference
     monkeypatch.setattr(resistance, "_BLOCK_DROPS", 200)
     rng = np.random.default_rng(3)
     drops = rng.normal(size=(30, 17))
@@ -1254,14 +1314,21 @@ def test_drop_rows_match_the_plain_difference(order, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_approx_kernel_identical_endpoints_give_zero():
-    # zero drops log to -inf and add exactly 0, also inside a block of pairs
-    w = np.array([1.0, 2.0, 0.5])
-    drops = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5], [0.0, 0.0, 0.0]])
+    # zero drops log to -inf and add exactly 0, also inside a tile of pairs,
+    # in the plain mode (drops divided by c = 4) and the peak-scaled mode.
+    # Vertex 3's slab row is 0, so pair (v, 3) drops row v of the target;
+    # pair (1, 1) has identical endpoints
+    target = np.array([[0.0, 0.0], [1.0, -2.0], [0.0, 0.0]])
+    g, L = _unit_drops_graph(target)
+    a, b = np.array([0, 1, 2, 1]), np.array([3, 3, 3, 1])
     qs = (1.001, 1.5, 11.0)
-    sums = _approx_sums(drops.copy(), w, qs)
-    assert np.all(sums[:, [0, 2]] == 0.0)
-    for k, q in enumerate(qs):
-        assert sums[k, 1] == pytest.approx(w @ np.abs(drops[1]) ** q, rel=1e-14)
+    for c, peak in ((4.0, False), (1.0, True)):
+        sums = resistance._pair_sums(L, c, g, qs, resistance._pair_pieces(a, b),
+                                     np.zeros((len(qs), a.size)), peak=peak)
+        assert np.all(sums[:, [0, 2, 3]] == 0.0), peak
+        for k, q in enumerate(qs):
+            want = g.w @ (np.abs(target[1]) / c) ** q
+            assert sums[k, 1] == pytest.approx(want, rel=1e-14), (peak, q)
     g = random_connected(8, 31)
     for form in ("metric", "resistance"):
         for dm in distance_matrices(g, KERNEL_PS, form=form):
@@ -1279,6 +1346,18 @@ def test_distance_matrices_validation():
         distance_matrices(g, (3.0,), form="cube")
     with pytest.raises(FingerprintMismatch):
         distance_matrices(g, (3.0,), pinv=laplacian_pinv(random_connected(5, 9)))
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_worker_count_below_one_is_rejected(workers):
+    # as the CLI's --workers is; None still means the cores available
+    g = random_connected(5, 8)
+    with pytest.raises(InvalidParams):
+        distance_matrices(g, (3.0,), workers=workers)
+    for mode in ("approx", "exact"):
+        with pytest.raises(InvalidParams):
+            distance_matrix(g, 3.0, mode=mode, workers=workers)
+    assert distance_matrices(g, (3.0,), workers=None)[0].n == g.n
 
 
 def test_shortest_path_unreachable_is_inf():
