@@ -247,7 +247,7 @@ def cmd_bench(args):
 
 
 def cmd_bound(args):
-    ps = _parse_grid(args.p_grid)
+    ps = errors.check_distinct("p grid", _parse_grid(args.p_grid))
     if not ps:
         raise errors.InvalidParams("bound needs a p, got an empty p grid")
     g = _load_graph(args)

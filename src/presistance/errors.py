@@ -44,6 +44,15 @@ def check_seed(seed):
     return seed
 
 
+def check_distinct(name, values):
+    """`values` as a tuple unless one of them repeats, which would run its
+    work and write its records twice: then `InvalidParams`."""
+    values = tuple(values)
+    if len(set(values)) < len(values):
+        raise InvalidParams(f"{name} repeats a value: {', '.join(map(str, values))}")
+    return values
+
+
 class DimensionMismatch(PresistanceError):
     pass
 

@@ -29,6 +29,7 @@ from .errors import (
     ParseError,
     PresistanceError,
     RaggedRows,
+    check_distinct,
     check_seed,
 )
 from .graph import build_graph
@@ -327,8 +328,8 @@ def bench_grid(
     graph, degenerate kernel, singular shift) is recorded with the failure
     reason and the sweep continues; any other error propagates. The best
     configuration per method is chosen by mean error over the repetitions.
-    A sweep with no records (an empty grid, no cell, no repetition) raises
-    `InvalidParams`.
+    A sweep with no records (an empty grid, no cell, no repetition) or with
+    a repeated grid value or method raises `InvalidParams`.
 
     The k-medoids methods compute the seed-independent BUILD run of each
     matrix once (`pam_build_run`) and pass it to every repetition's
@@ -342,7 +343,10 @@ def bench_grid(
     # cell (the graph may not build), nor is a p <= 1 a run on the p = 2
     # matrix
     check_seed(seed)
-    p_grid = tuple(map(check_p, p_grid))
+    mu_grid = check_distinct("mu grid", mu_grid)
+    sigma_grid = check_distinct("sigma grid", sigma_grid)
+    p_grid = check_distinct("p grid", map(check_p, p_grid))
+    methods = check_distinct("methods", methods)
     graphs = [GraphBuildParams(mu=mu, sigma=sigma)
               for mu in mu_grid for sigma in sigma_grid]
     # the p each method runs at; 0 marks the p = 2 baselines
@@ -398,9 +402,10 @@ def ratio_sweep(g, p_grid, sample_pairs=10, seed=0):
 
     Emits one row per (p, pair): the two metric values, their ratio, and the
     theoretical ceiling (bound factor to the q). Nothing is asserted; the
-    data is meant for plotting and for the verification suites.
+    data is meant for plotting and for the verification suites. A repeated
+    p is an `InvalidParams`.
     """
-    p_grid = tuple(p_grid)
+    p_grid = check_distinct("p grid", p_grid)
     limit = g.n * (g.n - 1) // 2
     if min(sample_pairs, limit) < 1 or not p_grid:
         raise InvalidParams(f"ratio_sweep needs a pair and a p, got "

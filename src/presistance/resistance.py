@@ -17,11 +17,11 @@ matrices of one graph for a whole p grid. Divided by one power of two, no
 pair drop exceeds 1: the pairs that are edges take the symmetric pass
 `_edge_pair_sums`, which logs each (edge, edge) drop once for both of its
 edges, the other pairs the plain mode of `_pair_sums`, and a pair that the
-trust rule (`_trusted`) or the skip rule (`_unit_scale`) rejects at some p
-takes its peak-scaled mode at every p, as the pairs of `approx_metrics` do.
-Each drop takes one log and one exp per p, and the matrices have the same
-bytes for any thread count. `distance_matrix` in approximate mode is its
-one-p call.
+skip rule (`_unit_scale`) or the trust rule rejects at some p takes its
+peak-scaled mode at every p, as the pairs of `approx_metrics` do. Every
+tile of both passes logs each drop once (`_log`) and takes its powers at
+every p in one step (`_powers`), and the matrices have the same bytes for
+any thread count. `distance_matrix` in approximate mode is its one-p call.
 Every pair query takes the pair as `(g, p, i, j)`: `ssl_solve`,
 `exact_presistance`, `approx_metric` and `approx_presistance`.
 Combinatorial oracles for the two limit regimes (minimum cut and hop
@@ -69,8 +69,8 @@ class SolverConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.grad_tol > 0:
-            raise InvalidP(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0 < self.grad_tol < np.inf:
+            raise InvalidP(f"grad_tol must be positive and finite, got {self.grad_tol}")
 
     def fingerprint(self):
         return f"grad_tol={self.grad_tol!r}"
@@ -372,6 +372,17 @@ def _log(x):
         return np.log(x, out=x)
 
 
+def _powers(logs, qs, spare):
+    """exp(q logs) at each q of `qs`, in that order: the power step of
+    every tile of the approximate kernel. The last q is taken in place over
+    `logs`, the others into the front of the flat buffer `spare` (empty at
+    one q), so each is read before the next is taken. A zero drop, logged
+    as -inf, gives exactly 0."""
+    for k, q in enumerate(qs):
+        pw = logs if k == len(qs) - 1 else spare[: logs.size].reshape(logs.shape)
+        yield np.exp(np.multiply(logs, q, out=pw), out=pw)
+
+
 def _drop_rows(drops, a, b, start, out):
     """out[r] = drops[a[r], start:] - drops[b[r], start:]. A run of rows
     with one a and consecutive b is one subtract from a contiguous slab of
@@ -443,8 +454,8 @@ def _pair_sums(L, c, g, qs, pieces, out, workers=1, peak=False):
     is logged once, each q costs one exp and one product per tile, and a
     zero drop adds exactly 0. The tiles of about `_BLOCK_DROPS` drops do not
     depend on the thread count; each of `workers` threads walks every block
-    for its run of tiles, with one slab, a tile, and a second for the
-    powers when there is more than one q.
+    for its run of tiles, with one slab and a buffer of one tile, two with
+    more than one q (the second for `_powers`).
     """
     width = max(1, _BLOCK_DROPS // L.shape[1])
     tiles = _tiles(pieces, max(1, _BLOCK_DROPS // min(width, g.m)))
@@ -462,10 +473,7 @@ def _pair_sums(L, c, g, qs, pieces, out, workers=1, peak=False):
     def tile_sums(tile, drops, w):
         for _, lo, hi, d, o in tile if peak else ():
             drops[o : o + hi - lo] /= top[d : d + hi - lo, None]
-        logd = _log(drops)
-        for k, q in enumerate(qs):
-            pw = logd if k == len(qs) - 1 else local.power[: drops.size].reshape(drops.shape)
-            np.exp(np.multiply(logd, q, out=pw), out=pw)
+        for k, pw in enumerate(_powers(_log(drops), qs, local.flat[size:])):
             # one pair sums in einsum's own loop: the BLAS dot product it
             # would otherwise call is threaded above 10000 edges and stalls
             # for milliseconds in some processes
@@ -474,13 +482,12 @@ def _pair_sums(L, c, g, qs, pieces, out, workers=1, peak=False):
                 out[k, d : d + hi - lo] += sums[o : o + hi - lo]
 
     def walk(run, fn):
-        if not hasattr(local, "tile"):
-            local.tile = np.empty(size)
-            local.power = np.empty(size if len(qs) > 1 else 0)
+        if not hasattr(local, "flat"):
+            local.flat = np.empty(size * (2 if len(qs) > 1 else 1))
         for s in range(0, g.m, width):
             slab, w = _slab(L, g, s, min(g.m, s + width), c), g.w[s : s + width]
             for rows, tile in run:
-                drops = local.tile[: rows * w.size].reshape(rows, w.size)
+                drops = local.flat[: rows * w.size].reshape(rows, w.size)
                 for a, lo, hi, _, o in tile:
                     np.subtract(slab[a], slab[lo:hi], out=drops[o : o + hi - lo])
                 fn(tile, np.abs(drops, out=drops), w)
@@ -498,44 +505,39 @@ def _pair_sums(L, c, g, qs, pieces, out, workers=1, peak=False):
     return out
 
 
-def _edge_block(L, g, s, t):
-    """The (t - s) x k slab of drops over the edges [s, t) of the k columns
-    of `L`, rows of L+: row e is L[ei[e]] - L[ej[e]], so for L = L+ it is
-    column e of the drops array L+ C^T, as L+ is exactly symmetric. Rows
-    gather several times faster than columns."""
+def _slab(L, g, s, t, c):
+    """The k x (t - s) slab whose row v holds the drops L[ei[e], v] -
+    L[ej[e], v] of column v of `L` over the edges e in [s, t), divided by
+    c: for L = L+, exactly symmetric, the columns [s, t) of the drops array
+    L+ C^T. Rows of `L` gather several times faster than columns, so the
+    edges' rows are gathered and divided by c as they are transposed."""
     block = np.take(L, g.ei[s:t], axis=0)
     block -= np.take(L, g.ej[s:t], axis=0)
-    return block
-
-
-def _slab(L, g, s, t, c):
-    """`_edge_block` divided by c as it is transposed: row v holds the drops
-    of column v of `L` over the edges [s, t), divided by c."""
-    return np.divide(_edge_block(L, g, s, t).T, c, out=np.empty((L.shape[1], t - s)))
+    return np.divide(block.T, c, out=np.empty((L.shape[1], t - s)))
 
 
 def _unit_scale(Lp, g, qs, floor):
     """The one scale of the fast passes, and their skip rule.
 
     reach[v] is the largest drop magnitude of row v of the drops array
-    L+ C^T, taken from its column blocks in one pass. c is the smallest
-    power of two above twice the largest drop magnitude. Divided by c,
-    every drop is below 1/2, so every pair drop, a difference of two of
-    them, is below 1 and none of its powers overflows; and a division by a
-    power of two is exact down to the smallest normal float. A pair's drop
-    is at most reach[a] + reach[b], so its sum over edges of w |drop / c|^q
-    is at most the sum of w times ((reach[a] + reach[b]) / c)^q. Returns c,
-    c^q at each q of `qs` (as a column), and the n x n mask of the pairs
-    (a, b), a < b, for which that bound is at least `floor` at every q: a
-    pair for which it is not cannot be trusted at every q, and where c^q
-    is not a normal float at some q no pair can.
+    L+ C^T, read off its slabs in one pass. c is the smallest power of two
+    above twice the largest drop magnitude. Divided by c, every drop is
+    below 1/2, so every pair drop, a difference of two of them, is below 1
+    and none of its powers overflows; and a division by a power of two is
+    exact down to the smallest normal float. A pair's drop is at most
+    reach[a] + reach[b] < c, so its sum over edges of w |drop / c|^q is at
+    most the sum of w times ((reach[a] + reach[b]) / c)^q, which falls as q
+    grows. Returns c, c^q at each q of `qs` (as a column), and the n x n
+    mask of the pairs (a, b), a < b, for which that bound is at least
+    `floor` at the largest q: a pair for which it is not cannot be trusted
+    at every q, and where c^q is not a normal float at some q no pair can.
     """
     reach = np.zeros(g.n)
     width = max(1, _BLOCK_DROPS // g.n)
     for s in range(0, g.m, width):
-        block = _edge_block(Lp, g, s, min(g.m, s + width))
-        np.maximum(reach, block.max(axis=0), out=reach)
-        np.maximum(reach, -block.min(axis=0), out=reach)
+        slab = _slab(Lp, g, s, min(g.m, s + width), 1.0)
+        np.maximum(reach, slab.max(axis=1), out=reach)
+        np.maximum(reach, -slab.min(axis=1), out=reach)
     top, total = reach.max(), g.w.sum()
     live = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
     with np.errstate(over="ignore", under="ignore"):
@@ -544,54 +546,10 @@ def _unit_scale(Lp, g, qs, floor):
         # the bounds of a few rows at a time: no n x n array of floats
         for r in range(0, g.n, width):
             pair = (reach[r : r + width, None] + reach) / c
-            for q in qs:
-                live[r : r + width] &= total * pair**q >= floor
+            live[r : r + width] &= total * pair ** max(qs) >= floor
     if not (0.0 < top < np.inf and np.all((scale >= _TINY) & (scale < np.inf))):
         live[:] = False
     return c, scale, live
-
-
-def _trusted(sums, scale, floor):
-    """The metrics c^q times `sums` of a fast pass, taken in place, and the
-    trust rule: an entry is ok where its sum is at least `floor` and its
-    metric is finite and positive."""
-    ok = sums >= floor
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        metric = np.multiply(sums, scale, out=sums)
-    ok &= np.isfinite(metric) & (metric > 0.0)
-    return metric, ok
-
-
-def _fast_metrics(Lp, g, qs, workers=1):
-    """Approximated metric of every pair (a, b), a < b, at each q of `qs`
-    by the fast passes (a len(qs) x n x n array, 0 where not trusted), and
-    the n x n mask of the pairs trusted at every q. On column blocks of L+
-    divided by the scale c of `_unit_scale`, the edge pairs (ej[f], ei[f])
-    take the symmetric pass `_edge_pair_sums` and the other pairs the plain
-    mode of `_pair_sums`, for the plain sums over edges of w |drop / c|^q;
-    `_trusted` turns them into metrics and ok entries with the floor m
-    `_SUM_FLOOR`, times the largest weight where that is above 1. A pair
-    that `_unit_scale` rules out is not walked and not ok; the symmetric
-    pass is skipped when it rules out every edge.
-    """
-    n, m = g.n, g.m
-    floor = m * max(1.0, g.w.max()) * _SUM_FLOOR
-    c, scale, live = _unit_scale(Lp, g, qs, floor)
-    edge_sums = 0.0
-    if live[g.ej, g.ei].any():
-        edge_sums = _edge_pair_sums(Lp, c, g, qs, workers)
-    # made after the symmetric pass: made before, these arrays sit below
-    # its temporaries on the heap and raise the process's peak memory
-    sums = np.zeros((len(qs), n, n))
-    rest = live.copy()
-    rest[g.ej, g.ei] = False
-    if rest.any():
-        _pair_sums(Lp, c, g, qs, _row_pieces(rest), sums.reshape(len(qs), -1), workers)
-    sums[:, g.ej, g.ei] = edge_sums
-    metric, ok = _trusted(sums, scale[:, :, None], floor)
-    ok = ok.all(axis=0) & live
-    np.copyto(metric, 0.0, where=~ok)
-    return metric, ok
 
 
 def _edge_pair_sums(Lp, c, g, qs, workers=1):
@@ -614,23 +572,21 @@ def _edge_pair_sums(Lp, c, g, qs, workers=1):
     block width, and the block's own rows in four strips [r, r2), each
     with the columns [r, t) right of its start. Each thread holds one slab
     and 2 `_BLOCK_DROPS` floats for its tiles: with several q a tile of
-    about `_BLOCK_DROPS` entries keeps its logs in one half and each q's
-    powers in the other, and at one q the power is taken in place over the
-    logs, so a tile fills the whole budget and there are half as many. A
-    strip's entries on and below the diagonal of its square [r, r2) are
-    logged as 1s and zeroed after each exp: a zero would log to -inf, whose
-    exp is several times slower. Four strips log an eighth of the block's
-    square this way, where one would log half of it. The blocks go to
-    `workers` threads, the widest first, and this thread adds their tiles'
-    products into the sums in that order, so the sums do not depend on the
-    thread count.
+    about `_BLOCK_DROPS` entries leaves the other half to `_powers`, and at
+    one q, whose power it takes in place over the logs, a tile fills the
+    whole budget and there are half as many. A strip's entries on and below
+    the diagonal of its square [r, r2) are logged as 1s and zeroed after
+    each exp: a zero would log to -inf, whose exp is several times slower.
+    Four strips log an eighth of the block's square this way, where one
+    would log half of it. The blocks go to `workers` threads, the widest
+    first, and this thread adds their tiles' products into the sums in that
+    order, so the sums do not depend on the thread count.
     """
     m = g.m
     ei, ej, w = g.ei, g.ej, g.w
     resist = np.abs((Lp[ei, ei] - Lp[ei, ej]) / c - (Lp[ej, ei] - Lp[ej, ej]) / c)
     sums = w * resist ** np.array(qs)[:, None]
-    one_q = len(qs) == 1
-    budget = _BLOCK_DROPS * (2 if one_q else 1)
+    budget = _BLOCK_DROPS * (2 if len(qs) == 1 else 1)
     width = max(1, _BLOCK_DROPS // g.n)
     local = threading.local()
 
@@ -654,17 +610,14 @@ def _edge_pair_sums(Lp, c, g, qs, workers=1):
             k = r2 - r
             size = k * (t - c0)
             blk = local.flat[:size].reshape(k, t - c0)
-            pw = blk if one_q else local.flat[size : 2 * size].reshape(k, t - c0)
             _drop_rows(slab, ei[r:r2], ej[r:r2], c0 - s, blk)
             np.abs(blk, out=blk)
             # a strip of the block's own rows masks its square
             below = np.tri(k, dtype=bool) if c0 == r else None
             if below is not None:
                 np.copyto(blk[:, :k], 1.0, where=below)
-            logd = _log(blk)
             tile = []
-            for q in qs:
-                np.exp(np.multiply(logd, q, out=pw), out=pw)
+            for pw in _powers(_log(blk), qs, local.flat[size:]):
                 if below is not None:
                     np.copyto(pw[:, :k], 0.0, where=below)
                 tile.append((pw @ w[c0:t], w[r:r2] @ pw))
@@ -779,15 +732,20 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     `ps`, in that order, all from one pseudoinverse (computed when `pinv`
     is None, else checked), on `workers` threads (None: the cores
     available to the process; below 1, `InvalidParams`). The matrices have
-    the same bytes for any thread count.
+    the same bytes for any thread count and any order of `ps`.
 
     At p = 2 the matrix takes its closed form. The other p share one walk
     over column blocks of L+, each the edge drops of the L+ columns over a
-    block of edges, scaled by one power of two in `_fast_metrics`: the
-    pairs that are edges take the symmetric pass `_edge_pair_sums`, which
-    logs each (edge, edge) drop once instead of twice, and the other pairs
-    the plain mode of `_pair_sums`. A pair whose value their rules do not
-    trust at some p takes the peak-scaled mode of `_pair_sums` at every p.
+    block of edges, in these steps. `_unit_scale` gives the one power of two
+    c that divides the drops, and its skip rule keeps a pair out of the fast
+    passes where its bound is below the floor (m `_SUM_FLOOR`, times the
+    largest weight where that is above 1). The pairs that are edges take
+    the symmetric pass `_edge_pair_sums`, which logs each (edge, edge) drop
+    once instead of twice, and the other pairs the plain mode of
+    `_pair_sums`. The trust rule keeps an entry, c^q times its sum, where
+    the sum is at least the floor and the entry is finite and positive. A
+    pair that either rule rejects at some p takes the peak-scaled mode of
+    `_pair_sums` at every p.
     No path holds the n x m drops array: the kernel holds the len(ps) x n
     x n sums and, per thread, a slab and a tile of about `_BLOCK_DROPS`
     drops (a tile of the symmetric pass at a single p takes twice that).
@@ -799,15 +757,32 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     Lp = pinv.matrix
     n = g.n
     qs = tuple(conjugate_exponent(p) for p in ps if p != 2.0)
-    if qs and g.m:
-        upper, ok = _fast_metrics(Lp, g, qs, workers)
-        # the pairs whose entry fails at some p take the peak-scaled mode
+    if not (qs and g.m):
+        upper = np.zeros((len(qs), n, n))
+    else:
+        floor = g.m * max(1.0, g.w.max()) * _SUM_FLOOR
+        c, scale, live = _unit_scale(Lp, g, qs, floor)
+        edge_sums = 0.0
+        if live[g.ej, g.ei].any():
+            edge_sums = _edge_pair_sums(Lp, c, g, qs, workers)
+        # made after the symmetric pass: made before, these arrays sit below
+        # its temporaries on the heap and raise the process's peak memory
+        upper = np.zeros((len(qs), n, n))
+        rest = live.copy()
+        rest[g.ej, g.ei] = False
+        if rest.any():
+            _pair_sums(Lp, c, g, qs, _row_pieces(rest), upper.reshape(len(qs), -1), workers)
+        upper[:, g.ej, g.ei] = edge_sums
+        ok = upper >= floor
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            upper *= scale[:, :, None]
+        ok = (ok & np.isfinite(upper) & (upper > 0.0)).all(axis=0) & live
+        # an overflowing c^q makes NaN of the zero sums, below the diagonal too
+        np.copyto(upper, 0.0, where=~ok)
         a, b = np.nonzero(np.triu(~ok, 1))
         if a.size:
             upper[:, a, b] = _pair_sums(Lp, 1.0, g, qs, _pair_pieces(a, b),
                                         np.zeros((len(qs), a.size)), workers, True)
-    else:
-        upper = np.zeros((len(qs), n, n))
     out = []
     k = 0
     for p in ps:

@@ -355,6 +355,29 @@ def test_bench_bad_grid_exits_2(tmp_path, blob_csv, mu, sigma, capsys):
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bench", "--mu-grid", "1,1"],
+    ["bench", "--sigma-grid", "1,1.0"],
+    ["bench", "--p-grid", "10,10"],
+    ["bench", "--methods", "kmed_approx,kmed_approx"],
+    ["ratio", "--p-grid", "3,3"],
+    ["bound", "--p-grid", "3,3"],
+], ids=["bench_mu", "bench_sigma", "bench_p", "bench_method", "ratio_p", "bound_p"])
+def test_repeated_grid_value_exits_2(tmp_path, blob_csv, argv, capsys):
+    # a repeated value or method would run its work again and repeat its
+    # records (or pool them into one cell's repetitions), not add a cell
+    out = tmp_path / "out"
+    base = {
+        "bench": ["--features", blob_csv, "--mu-grid", "1.0", "--sigma-grid",
+                  "1.0", "--p-grid", "3", "--repetitions", "1", "--out-dir", out],
+        "ratio": ["--generate", "cycle:n=6", "--pairs", "2", "--out", out],
+        "bound": ["--generate", "cycle:n=6", "--out", out],
+    }[argv[0]]
+    assert run([argv[0], *base, *argv[1:]]) == 2
+    assert "InvalidParams" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_subset_and_fault_injection(tmp_path):
     report = tmp_path / "v.json"
     assert run(["verify", "--suite", "laplacian-identities",
@@ -458,6 +481,16 @@ def test_distances_rejects_a_nan_grad_tol(tmp_path, capsys):
     out = tmp_path / "d.bin"
     assert run(["distances", "--generate", "path:n=4", "--p", "3",
                 "--mode", "exact", "--grad-tol", "nan", "--workers", "1",
+                "--out", out]) == 2
+    assert "InvalidP" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_distances_rejects_an_infinite_grad_tol(tmp_path, capsys):
+    # an infinite tolerance would mark every pair "converged"
+    out = tmp_path / "d.bin"
+    assert run(["distances", "--generate", "path:n=4", "--p", "3",
+                "--mode", "exact", "--grad-tol", "inf", "--workers", "1",
                 "--out", out]) == 2
     assert "InvalidP" in capsys.readouterr().err
     assert not out.exists()

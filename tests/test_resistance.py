@@ -2,7 +2,6 @@ import inspect
 import sys
 import threading
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from presistance import (
     FeatureDataset,
     Graph,
     GraphBuildParams,
+    LaplacianPinv,
     SolverConfig,
     approx_metric,
     approx_metrics,
@@ -133,7 +133,7 @@ def test_stages_pinned():
 
 def test_solver_config_validation():
     # NaN fails as in `check_p`: `nan <= 0` is False, `nan > 0` too
-    for bad in (0.0, -1e-8, float("nan")):
+    for bad in (0.0, -1e-8, float("nan"), float("inf")):
         with pytest.raises(InvalidP):
             SolverConfig(grad_tol=bad)
 
@@ -827,48 +827,67 @@ def test_peak_free_pass_falls_back_to_row_peak(iris_csv, sigma, monkeypatch):
 def _unit_drops_graph(target):
     # a graph of two edges (4, 3) and (5, 3) and a symmetric L whose drops
     # array has the rows `target` for vertices 0 to 2 and zero rows for 3
-    # to 5: the kernel reads only g.n, g.m, ei, ej and w, and L's entries
-    g = types.SimpleNamespace(n=6, m=2, ei=np.array([4, 5]), ej=np.array([3, 3]),
-                              w=np.array([1.0, 0.5]))
+    # to 5: the kernel reads the graph's arrays and L's entries, which
+    # `distance_matrices` takes as the pseudoinverse of this disconnected
+    # graph, made without `build_graph`'s checks
+    g = Graph(6, np.array([4, 5]), np.array([3, 3]), np.array([1.0, 0.5]))
     L = np.zeros((6, 6))
     L[:3, 4:] = target
     L[4:, :3] = target.T
     return g, L
 
 
-def test_peak_free_pass_rejects_sums_below_the_floor():
+def _pair_mask(n, pairs):
+    # the n x n mask of the pairs (a, b) of recorded walks
+    mask = np.zeros((n, n), dtype=bool)
+    for a, b in pairs:
+        mask[a, b] = True
+    return mask
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_peak_free_pass_rejects_sums_below_the_floor(monkeypatch):
     # three rows of drops over two edges; the largest is 0.3, so the scale
-    # is c = 1. Pair (0, 1) drops 0.3 on both edges: at q = 602 its sum is
-    # a subnormal 2.53e-315 that has kept only 8 digits, below the floor,
-    # though its bound from the rows' largest drops (0.6^602) is above it,
-    # so the skip rule lets every pair in. Pair (0, 2) underflows to 0.
-    # Both are not ok at q = 602 under the trust rule, and every ok entry
-    # matches its sum from the definition. The plain mode reads the drops
-    # from the column block's slab, whose rows are the target's
+    # is c = 1. At p = 602/601, q = 602 to rounding, the skip rule lets in
+    # the pairs (0, 1), (0, 2) and (1, 2), whose bounds from the rows'
+    # largest drops (0.6^602 for (0, 1)) are above the floor, and rules out
+    # every pair with a vertex from 3 to 5. Pair (0, 1) drops 0.3 on both
+    # edges: its sum is a subnormal 2.53e-315 that has kept only 8 digits,
+    # below the floor. Pair (0, 2) underflows to 0. The trust rule rejects
+    # both, so every pair but (1, 2) takes the peak-scaled mode, and the
+    # plain mode's entry of (1, 2) matches its sum from the definition. At
+    # p = 1.5 alone every pair of a row from 0 to 2 is let in and kept. The
+    # plain mode reads the drops from the column block's slab, whose rows
+    # are the target's
     target = np.array([[0.3, 0.0], [0.0, -0.3], [0.1, 0.2]])
     g, L = _unit_drops_graph(target)
     before = L.copy()
     slab = resistance._slab(L, g, 0, g.m, 1.0)
     assert slab[:3].tobytes() == target.tobytes() and not slab[3:].any()
-    a, b = np.array([0, 0, 1]), np.array([1, 2, 2])
-    qs = (602.0, 3.0)
-    floor = 2 * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(L, g, qs, floor)
-    assert c == 1.0 and live[a, b].all()
-    assert L.tobytes() == before.tobytes()
+    upper = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    first = upper & (np.arange(g.n) < 3)[:, None]
+    calls = _recording_pair_sums(monkeypatch)
+    pinv = LaplacianPinv(matrix=L, fingerprint=g.fingerprint())
+    for ps, plain, kept in (((602.0 / 601.0, 1.5), [(0, 1), (0, 2), (1, 2)], [(1, 2)]),
+                            ((1.5,), list(zip(*np.nonzero(first))), None)):
+        calls[True].clear()
+        calls[False].clear()
+        got = [dm.matrix for dm in distance_matrices(g, ps, pinv)]
+        assert L.tobytes() == before.tobytes()
+        walked = _pair_mask(g.n, calls[False])
+        assert (walked == _pair_mask(g.n, [np.array(plain).T])).all(), ps
+        ok = walked if kept is None else _pair_mask(g.n, [np.array(kept).T])
+        assert (_pair_mask(g.n, calls[True]) == upper & ~ok).all(), ps
+        for dm, p in zip(got, ps):
+            want = np.abs(slab[:, None] - slab[None, :]) ** conjugate_exponent(p) @ g.w
+            assert np.all(np.abs(dm[ok] - want[ok]) <= 1e-13 * want[ok]), p
     # times 2^20 the bounds relative to c keep their values, but c^602
-    # overflows: no pair is let in
-    _, _, live = resistance._unit_scale(L * 2.0**20, g, qs, floor)
-    assert not live.any()
-    sums = resistance._pair_sums(L, c, g, qs, resistance._pair_pieces(a, b),
-                                 np.zeros((len(qs), a.size)))
-    metric, ok = resistance._trusted(sums, scale, floor)
-    assert L.tobytes() == before.tobytes()
-    assert ok.tolist() == [[False, False, True], [True, True, True]]
-    d = np.abs(target[a] - target[b])
-    for k, q in enumerate(qs):
-        want = d**q @ g.w
-        assert np.all(np.abs(metric[k, ok[k]] - want[ok[k]]) <= 1e-13 * want[ok[k]])
+    # overflows: no pair is let in, and every pair takes the peak-scaled mode
+    calls[True].clear()
+    calls[False].clear()
+    pinv = LaplacianPinv(matrix=L * 2.0**20, fingerprint=g.fingerprint())
+    distance_matrices(g, (602.0 / 601.0, 1.5), pinv)
+    assert not calls[False] and (_pair_mask(g.n, calls[True]) == upper).all()
 
 
 def test_peak_free_pass_not_taken_on_complete_graphs(iris_csv, monkeypatch):
@@ -918,7 +937,9 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
     slab = resistance._slab
 
     def recording(*args):
-        threads.append(threading.get_ident())
+        # the skip rule reads its bound off the slabs on the calling thread
+        if sys._getframe(1).f_code.co_name != "_unit_scale":
+            threads.append(threading.get_ident())
         return slab(*args)
 
     monkeypatch.setattr(resistance, "_slab", recording)
@@ -932,6 +953,30 @@ def test_distance_matrices_bytes_independent_of_workers(case, iris_csv,
         # has pairs that are not edges, for the plain mode
         assert threads and threading.get_ident() not in threads
         assert bool(calls[False]) == (case == "knn")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", ["peak_mode", "plain_walk"])
+def test_distance_matrices_bytes_independent_of_p_order(case, iris_csv,
+                                                        monkeypatch):
+    # every tile takes its powers in one step, the last q in place over its
+    # logs and the others in a spare buffer, and a pair rejected at some p
+    # takes the peak-scaled mode at every p: which p comes last changes no
+    # entry. Half of iris at mu = 1, sigma = 10 sends 207 edge pairs to the
+    # peak-scaled mode at p = 1.01; the k-NN graph at mu = 0.1, sigma = 1
+    # sends the pairs that are not edges to the plain mode
+    if case == "peak_mode":
+        g, ps = _half_iris(iris_csv, 1.0, 10.0), (1.01, 2.9)
+    else:
+        g, ps = _half_iris(iris_csv, 0.1, 1.0), (1.1, 2.9, 10.0)
+    pinv = laplacian_pinv(g)
+    calls = _recording_pair_sums(monkeypatch)
+    base = [dm.matrix.tobytes() for dm in distance_matrices(g, ps, pinv, workers=1)]
+    assert sum(a.size for a, _ in calls[True]) == (207 if case == "peak_mode" else 0)
+    assert bool(calls[False]) == (case == "plain_walk")
+    for workers in (1, 2, 3):
+        got = distance_matrices(g, ps[::-1], pinv, workers=workers)
+        assert [dm.matrix.tobytes() for dm in got[::-1]] == base, workers
 
 
 def test_one_p_strips_match_the_grid_and_any_thread_count(iris_csv):
@@ -1004,51 +1049,51 @@ def test_edge_pair_pass_skipped_where_no_edge_can_pass(iris_csv, sigma,
                                                        monkeypatch):
     # half of iris at mu = 1 and p = 1.001, q = 1001. The scale c is 1/16
     # at sigma = 0.01 and 1024 at sigma = 10, so c^q underflows to 0 or
-    # overflows: the skip rule rules out every edge, the fast passes take
-    # no log, and every edge takes the peak-scaled mode, where the
-    # symmetric pass would have sent it. Run anyway, that pass rejects
-    # every edge at q = 1001 under the trust rule and keeps them all at
-    # p = 1.1 and 2.9. Skipped or not, the entries are the same
+    # overflows: the skip rule rules out every edge, neither the symmetric
+    # pass nor the plain mode runs, and every edge takes the peak-scaled
+    # mode, where the symmetric pass would have sent it. Run anyway, that
+    # pass has every edge rejected at q = 1001 by the trust rule, which
+    # keeps them all at p = 1.1 and 2.9. Skipped or not, the entries are
+    # the same
     g = _half_iris(iris_csv, 1.0, sigma)
     pinv = laplacian_pinv(g)
     ps = (1.001, 1.1, 2.9)
-    qs = tuple(conjugate_exponent(p) for p in ps)
     Lp = pinv.matrix
     before = Lp.copy()
+    every = np.triu(np.ones((g.n, g.n), dtype=bool), 1)
+    passes = []
+    edge_pair_sums = resistance._edge_pair_sums
+
+    def counting(Lp, c, g, qs, workers=1):
+        passes.append(qs)
+        return edge_pair_sums(Lp, c, g, qs, workers)
+
+    monkeypatch.setattr(resistance, "_edge_pair_sums", counting)
+    calls = _recording_pair_sums(monkeypatch)
     got = [dm.matrix for dm in distance_matrices(g, ps, pinv)]
-    logged = []
-    log = resistance._log
-
-    def counting_log(x):
-        logged.append(x.size)
-        return log(x)
-
-    monkeypatch.setattr(resistance, "_log", counting_log)
-    _, ok = resistance._fast_metrics(Lp, g, qs)
-    assert not logged and not ok.any()
+    assert not passes and not calls[False]
+    assert (_pair_mask(g.n, calls[True]) == every).all()
     # at p = 1.1 and 2.9 alone the pass scales the drops it gathers, keeps
     # every edge and leaves L+ with its bytes
-    _, ok = resistance._fast_metrics(Lp, g, qs[1:])
-    assert logged and ok[g.ej, g.ei].all()
+    calls[True].clear()
+    distance_matrices(g, ps[1:], pinv)
+    assert len(passes) == 1 and not calls[True]
     assert Lp.tobytes() == before.tobytes()
-    # without the skip rule the pass runs, and rejects every edge at q = 1001
-    floor = g.m * max(1.0, g.w.max()) * resistance._SUM_FLOOR
-    c, scale, live = resistance._unit_scale(Lp, g, qs, floor)
-    assert not live.any()
-    logged.clear()
-    sums = resistance._edge_pair_sums(Lp, c, g, qs)
-    _, ok = resistance._trusted(sums, scale, floor)
-    assert logged and not ok[0].any() and ok[1:].all()
+    # without the skip rule the pass runs, and every edge is rejected at
+    # q = 1001
     unit_scale = resistance._unit_scale
 
     def no_skip(*args):
         c, scale, live = unit_scale(*args)
-        return c, scale, np.ones_like(live)
+        return c, scale, every
 
     monkeypatch.setattr(resistance, "_unit_scale", no_skip)
-    monkeypatch.setattr(resistance, "_log", log)
+    passes.clear()
+    calls[True].clear()
     for want, dm in zip(got, distance_matrices(g, ps, pinv)):
         assert dm.matrix.tobytes() == want.tobytes()
+    assert len(passes) == 1 and not calls[False]
+    assert (_pair_mask(g.n, calls[True]) == every).all()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
