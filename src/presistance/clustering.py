@@ -74,7 +74,8 @@ def _pam_build(D, k):
     centers = [int(np.argmin(D.sum(axis=0)))]
     nearest = D[:, centers[0]].copy()
     while len(centers) < k:
-        gains = np.maximum(nearest[:, None] - D, 0.0).sum(axis=0)
+        gains = np.subtract(nearest[:, None], D)
+        gains = np.maximum(gains, 0.0, out=gains).sum(axis=0)
         gains[centers] = -np.inf
         c = int(np.argmax(gains))
         centers.append(c)
@@ -96,11 +97,17 @@ def _swap_gains(D, centers):
         ds = np.partition(sub, 1, axis=1)[:, 1]
     else:
         ds = np.full(D.shape[0], np.inf)
-    T = np.minimum(D - dn[:, None], 0.0)
-    E = np.minimum(D, ds[:, None]) - dn[:, None] - T
+    # T and E are the pass's two n x n arrays, each made in place
+    T = np.subtract(D, dn[:, None])
+    np.minimum(T, 0.0, out=T)
+    E = np.minimum(D, ds[:, None])
+    E -= dn[:, None]
+    E -= T
     onehot = np.zeros((len(centers), D.shape[0]))
     onehot[nearest, points] = 1.0
-    gains = -(T.sum(axis=0)[None, :] + onehot @ E)
+    gains = onehot @ E
+    gains += T.sum(axis=0)
+    np.negative(gains, out=gains)
     gains[:, centers] = -np.inf
     return gains
 

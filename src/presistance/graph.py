@@ -163,11 +163,16 @@ def incidence(g):
 def laplacian(g):
     """Dense graph Laplacian, degree matrix minus adjacency."""
     # summing the rows of the filled adjacency keeps the degree bytes of
-    # the edge-by-edge construction; a bincount over edges does not
+    # the edge-by-edge construction; a bincount over edges does not. One
+    # array: 0 - A keeps the +0.0 of the non-edges, where a negation in
+    # place would make them -0.0
     A = np.zeros((g.n, g.n))
     A[g.ei, g.ej] = g.w
     A[g.ej, g.ei] = g.w
-    return np.diag(A.sum(axis=1)) - A
+    degrees = A.sum(axis=1)
+    np.subtract(0.0, A, out=A)
+    np.fill_diagonal(A, degrees)
+    return A
 
 
 def is_tree(g):

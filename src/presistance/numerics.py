@@ -92,7 +92,9 @@ class LaplacianPinv:
 
 def _pinv_residual(L, Lp):
     scale = max(np.linalg.norm(L), 1.0)
-    return np.linalg.norm(L @ Lp @ L - L) / scale
+    R = L @ Lp @ L
+    R -= L
+    return np.linalg.norm(R) / scale
 
 
 def laplacian_pinv(g):
@@ -105,13 +107,20 @@ def laplacian_pinv(g):
     1e-12 max(lambda_max, 1), so a tiny lambda_2 goes too: iris at mu = 1,
     sigma = 10 (shift residual 2.7e-3) loses lambda_2 = 6.6e-14, and the L+
     of that connected graph has rank n - 2 yet passes the residual check.
+
+    The shift J/n is the scalar 1/n added to every entry, never an n x n
+    matrix, and the shift's removal, the residual and the symmetrisation
+    work in place: the working set is a few n x n arrays besides LAPACK's
+    own. The bytes depend on the BLAS kernel (its core type) and on its
+    thread count: under 2 OpenBLAS threads the iris L+ differs from the one
+    under 1 in its last bits.
     """
     L = laplacian(g)
-    n = g.n
-    J = np.full((n, n), 1.0 / n)
+    shift = 1.0 / g.n
     Lp = None
     try:
-        Lp = np.linalg.inv(L + J) - J
+        Lp = np.linalg.inv(L + shift)
+        Lp -= shift
         if _pinv_residual(L, Lp) > 1e-8:
             Lp = None
     except np.linalg.LinAlgError:
@@ -122,10 +131,15 @@ def laplacian_pinv(g):
         except np.linalg.LinAlgError as exc:
             raise SingularShift("eigendecomposition failed") from exc
         nonzero = vals > 1e-12 * max(vals.max(), 1.0)
-        Lp = (vecs[:, nonzero] / vals[nonzero]) @ vecs[:, nonzero].T
+        vecs = vecs[:, nonzero]
+        Lp = (vecs / vals[nonzero]) @ vecs.T
+        del vecs
         if _pinv_residual(L, Lp) > 1e-8:
             raise SingularShift("pseudoinverse residual too large on both routes")
-    Lp = 0.5 * (Lp + Lp.T)
+    del L
+    # (Lp + Lp^T) / 2: numpy buffers the transposed operand it overlaps
+    Lp += Lp.T
+    Lp *= 0.5
     return LaplacianPinv(matrix=Lp, fingerprint=g.fingerprint())
 
 

@@ -68,12 +68,24 @@ class FeatureDataset:
     def _ranking(self):
         # squared distances of all point pairs, and each row's other points
         # by distance, ties to the lower index: every k-NN graph of the
-        # dataset reads them, whatever its mu and sigma
-        n = self.n
-        sq = ((self.X[:, None, :] - self.X[None, :, :]) ** 2).sum(axis=2)
-        order = np.argsort(sq, axis=1, kind="stable")
-        # drop self by value: a duplicated point can rank ahead of it
-        others = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+        # dataset reads them, whatever its mu and sigma. Taken a block of
+        # rows at a time, whose difference tensor holds about n^2 floats,
+        # never the n^2 d of all rows: summed over the features by the same
+        # `sum(axis=2)`, whose pairwise order from d = 8 on a running sum
+        # over the columns would not keep
+        n, X = self.n, self.X
+        sq = np.empty((n, n))
+        others = np.empty((n, n - 1), dtype=np.intp)
+        rows = max(1, n // max(1, self.d))
+        block = np.empty((min(rows, n), n, self.d))
+        for r in range(0, n, rows):
+            diff = np.subtract(X[r : r + rows, None, :], X[None, :, :],
+                               out=block[: min(rows, n - r)])
+            np.sum(np.square(diff, out=diff), axis=2, out=sq[r : r + rows])
+            order = np.argsort(sq[r : r + rows], axis=1, kind="stable")
+            # drop self by value: a duplicated point can rank ahead of it
+            self_ = np.arange(r, r + len(order))[:, None]
+            others[r : r + rows] = order[order != self_].reshape(len(order), n - 1)
         sq.flags.writeable = others.flags.writeable = False
         return sq, others
 

@@ -510,10 +510,19 @@ def _slab(L, g, s, t, c):
     L[ej[e], v] of column v of `L` over the edges e in [s, t), divided by
     c: for L = L+, exactly symmetric, the columns [s, t) of the drops array
     L+ C^T. Rows of `L` gather several times faster than columns, so the
-    edges' rows are gathered and divided by c as they are transposed."""
-    block = np.take(L, g.ei[s:t], axis=0)
-    block -= np.take(L, g.ej[s:t], axis=0)
-    return np.divide(block.T, c, out=np.empty((L.shape[1], t - s)))
+    edges' rows are gathered and divided by c as they are transposed,
+    straight into the slab, in pieces of about `_BLOCK_DROPS` / 8 floats:
+    the slab is the call's one array of its size. The pieces are sized in
+    floats, not edges, so a two-column `L` takes thousands of edges per
+    piece."""
+    out = np.empty((L.shape[1], t - s))
+    step = max(1, _BLOCK_DROPS // (8 * L.shape[1]))
+    for a in range(s, t, step):
+        b = min(t, a + step)
+        piece = np.take(L, g.ei[a:b], axis=0)
+        piece -= np.take(L, g.ej[a:b], axis=0)
+        np.divide(piece.T, c, out=out[:, a - s : b - s])
+    return out
 
 
 def _unit_scale(Lp, g, qs, floor):
@@ -749,6 +758,8 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
     No path holds the n x m drops array: the kernel holds the len(ps) x n
     x n sums and, per thread, a slab and a tile of about `_BLOCK_DROPS`
     drops (a tile of the symmetric pass at a single p takes twice that).
+    Each matrix but the closed form's is its layer of the sums, mirrored in
+    place, and the closed form takes one n x n array.
     """
     ps = tuple(check_p(p) for p in ps)
     _check_form(form)
@@ -789,12 +800,21 @@ def distance_matrices(g, ps, pinv=None, form="metric", workers=None):
         if p == 2.0:
             # q = 2: the edge sum collapses to the classic effective
             # resistance (e_i - e_j)^T L+ (e_i - e_j); metric and resistance
-            # forms coincide. The clamp absorbs cancellation at tiny values
+            # forms coincide. The clamp absorbs cancellation at tiny values.
+            # In place, a few rows at a time: one n x n array
             d = np.diag(Lp)
-            D = np.maximum(d[:, None] + d[None, :] - (Lp + Lp.T), 0.0)
+            D = np.add(Lp, Lp.T)
+            rows = max(1, _BLOCK_DROPS // n)
+            for r in range(0, n, rows):
+                np.subtract(d[r : r + rows, None] + d, D[r : r + rows],
+                            out=D[r : r + rows])
+            np.maximum(D, 0.0, out=D)
             np.fill_diagonal(D, 0.0)
         else:
-            D = upper[k] + upper[k].T
+            # the matrix is its layer of the sums, mirrored in place (numpy
+            # buffers the transposed operand it overlaps)
+            D = upper[k]
+            D += D.T
             k += 1
         out.append(DistanceMatrix(
             matrix=_approx_form(D, p, form),
@@ -881,34 +901,45 @@ def save_distance_matrix(dm, path):
         f.write(_DMAT_MAGIC)
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        f.write(np.ascontiguousarray(dm.matrix, dtype="<f8").tobytes())
+        # the payload straight from the matrix's buffer, with no copy of it
+        f.write(np.ascontiguousarray(dm.matrix, dtype="<f8").data)
 
 
 def load_distance_matrix(path):
+    """The `DistanceMatrix` that `save_distance_matrix` wrote to `path`; a
+    file that is not one, or is cut or garbled, raises `FingerprintMismatch`.
+    The payload is read straight into the matrix, the call's one array of
+    its size."""
     with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != _DMAT_MAGIC:
-        raise FingerprintMismatch(f"{path} is not a distance-matrix file")
-    # a cut or garbled file fails anywhere below: in the length prefix, the
-    # header bytes or fields, or the float payload
-    try:
-        (hlen,) = struct.unpack_from("<Q", blob, 4)
-        header = blob[12 : 12 + hlen]
-        if len(header) != hlen:
-            raise ValueError(f"header of {hlen} bytes cut at {len(header)}")
-        fields = header.decode().split("\x1f")
-        n, p, mode, form, graph_fp, config_fp = fields[:6]
-        n, p = int(n), float(p)
-        kept = tuple(int(v) for v in fields[7].split()) if len(fields) > 7 else None
-        data = np.frombuffer(blob, dtype="<f8", offset=12 + hlen)
-    except (struct.error, ValueError) as exc:
-        raise FingerprintMismatch(f"{path}: malformed distance-matrix file ({exc})") from None
+        size = os.fstat(f.fileno()).st_size
+        if f.read(4) != _DMAT_MAGIC:
+            raise FingerprintMismatch(f"{path} is not a distance-matrix file")
+        # a cut or garbled file fails anywhere below: in the length prefix,
+        # the header bytes or fields, or the float payload
+        try:
+            (hlen,) = struct.unpack("<Q", f.read(8))
+            # never read more than the file holds: a garbled length is huge
+            header = f.read(min(hlen, size - 12))
+            if len(header) != hlen:
+                raise ValueError(f"header of {hlen} bytes cut at {len(header)}")
+            fields = header.decode().split("\x1f")
+            n, p, mode, form, graph_fp, config_fp = fields[:6]
+            n, p = int(n), float(p)
+            kept = tuple(int(v) for v in fields[7].split()) if len(fields) > 7 else None
+            payload = size - 12 - hlen
+            if payload % 8:
+                raise ValueError(f"payload of {payload} bytes is not whole floats")
+            data = np.empty(payload // 8, dtype="<f8")
+            if f.readinto(data) != payload:
+                raise ValueError("payload cut while it was read")
+        except (struct.error, ValueError) as exc:
+            raise FingerprintMismatch(f"{path}: malformed distance-matrix file ({exc})") from None
     if n < 0 or data.size != n * n:
         raise FingerprintMismatch(f"{path}: expected {n * n} floats, got {data.size}")
     if kept is not None and len(kept) != n:
         raise FingerprintMismatch(f"{path}: {len(kept)} kept ids for n={n}")
     return DistanceMatrix(
-        matrix=data.reshape(n, n).copy(),
+        matrix=data.reshape(n, n),
         p=p,
         mode=mode,
         form=form,

@@ -1,5 +1,6 @@
 import collections
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,15 @@ def pinv_builds(monkeypatch):
     for mod in (numerics, pipeline, cli, verify):
         monkeypatch.setattr(mod, "laplacian_pinv", counting)
     return calls
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak of the call in units of
+    floats above its entry): a working set to bound as a multiple of n^2."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = fn(*args, **kwargs)
+        return result, (tracemalloc.get_traced_memory()[1] - entry) / 8
+    finally:
+        tracemalloc.stop()

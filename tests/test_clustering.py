@@ -13,8 +13,16 @@ from presistance import (
     k_medoids,
     sc2_baseline,
 )
-from presistance.clustering import _pam_build, _pam_pick, _pam_swap, pam_build_run
+from presistance.clustering import (
+    _pam_build,
+    _pam_pick,
+    _pam_swap,
+    _swap_gains,
+    pam_build_run,
+)
 from presistance.errors import InvalidK, InvalidParams, LengthMismatch, NonFinite
+
+from conftest import traced_peak
 
 
 def block_matrix(sizes, within=0.1, across=10.0):
@@ -369,3 +377,47 @@ def test_optimal_two_center_example_g1_large_p():
         for b in range(a + 1, g.n)
     )
     assert best_a[1][0] == 1 and best_a[1][1] >= 6
+
+
+def _parent_swap_gains(D, centers):
+    # FastPAM1's gains as first written, every step out of place
+    points = np.arange(D.shape[0])
+    sub = D[:, centers]
+    nearest = np.argmin(sub, axis=1)
+    dn = sub[points, nearest]
+    ds = (np.partition(sub, 1, axis=1)[:, 1] if len(centers) > 1
+          else np.full(D.shape[0], np.inf))
+    T = np.minimum(D - dn[:, None], 0.0)
+    E = np.minimum(D, ds[:, None]) - dn[:, None] - T
+    onehot = np.zeros((len(centers), D.shape[0]))
+    onehot[nearest, points] = 1.0
+    gains = -(T.sum(axis=0)[None, :] + onehot @ E)
+    gains[:, centers] = -np.inf
+    return gains
+
+
+def _random_distances(n, seed):
+    D = np.random.default_rng(seed).uniform(size=(n, n))
+    D += D.T
+    np.fill_diagonal(D, 0.0)
+    return D
+
+
+def test_swap_gains_bytes_match_the_out_of_place_formula():
+    for seed in range(12):
+        n = 20 + 7 * seed
+        D = _random_distances(n, seed)
+        if seed % 3 == 0:
+            D = np.round(D, 1)  # ties between medoid distances
+        centers = sorted(np.random.default_rng(seed).choice(n, size=1 + seed % 5,
+                                                             replace=False).tolist())
+        assert _swap_gains(D, centers).tobytes() == _parent_swap_gains(D, centers).tobytes()
+
+
+def test_swap_gains_hold_two_square_arrays():
+    # T and E, each made in place: the out-of-place steps held a third
+    n = 300
+    D = _random_distances(n, 1)
+    gains, peak = traced_peak(_swap_gains, D, [3, 70, 150, 299])
+    assert peak < 2.3 * n * n, peak / (n * n)
+    assert gains.tobytes() == _parent_swap_gains(D, [3, 70, 150, 299]).tobytes()

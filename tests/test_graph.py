@@ -12,7 +12,7 @@ from presistance.errors import (
 from presistance.graph import read_edge_list, write_edge_list
 from presistance.pipeline import GraphBuildParams, knn_gaussian_graph, load_features
 
-from conftest import neighbors, random_connected
+from conftest import neighbors, random_connected, traced_peak
 
 
 def test_build_single_edge():
@@ -280,6 +280,15 @@ def test_laplacian_and_incidence_bytes_match_edge_loops(iris_csv):
     for g in graphs:
         assert laplacian(g).tobytes() == loop_laplacian(g).tobytes()
         assert incidence(g).tobytes() == loop_incidence(g).tobytes()
+
+
+def test_laplacian_builds_one_array():
+    # the adjacency is negated in place into the Laplacian: no degree
+    # matrix and no difference beside it
+    g = generate("gnp_connected", n=200, edge_prob=0.1, seed=2)
+    L, peak = traced_peak(laplacian, g)
+    assert peak < 1.2 * g.n**2, peak / g.n**2
+    assert L.tobytes() == loop_laplacian(g).tobytes()
 
 
 def test_graph_arrays_are_read_only():

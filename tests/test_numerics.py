@@ -21,7 +21,9 @@ from presistance.errors import (
 from presistance.graph import incidence
 from presistance.numerics import _POWER_ITERATIONS, conjugate_exponent, edge_projector
 
-from conftest import cycle_parallel_presistance, random_connected
+from presistance.pipeline import GraphBuildParams, knn_gaussian_graph, load_features
+
+from conftest import cycle_parallel_presistance, random_connected, traced_peak
 
 
 def test_weighted_p_norm_values():
@@ -124,6 +126,48 @@ def test_pinv_moore_penrose_identities():
         assert np.linalg.norm(Lp @ L @ Lp - Lp) / max(np.linalg.norm(Lp), 1) <= 1e-9
         assert np.linalg.norm((L @ Lp).T - L @ Lp) / scale <= 1e-9
         assert np.abs(Lp @ np.ones(g.n)).max() <= 1e-9
+
+
+def _parent_pinv(g, route=None):
+    # L+ as it was first written: the n x n shift matrix J, out of place;
+    # the eigh route where the shift fails its residual, or as asked
+    L = laplacian(g)
+    J = np.full((g.n, g.n), 1.0 / g.n)
+    Lp = np.linalg.inv(L + J) - J
+    residual = np.linalg.norm(L @ Lp @ L - L) / max(np.linalg.norm(L), 1.0)
+    if route == "eigh" or residual > 1e-8:
+        vals, vecs = np.linalg.eigh(L)
+        nonzero = vals > 1e-12 * max(vals.max(), 1.0)
+        Lp = (vecs[:, nonzero] / vals[nonzero]) @ vecs[:, nonzero].T
+    return 0.5 * (Lp + Lp.T)
+
+
+def test_pinv_bytes_match_the_shift_matrix_formula(iris_csv):
+    # the scalar shift and the in-place steps keep every byte, on both
+    # routes: iris at sigma = 10 takes the eigh route
+    iris = load_features(iris_csv, has_labels=True)
+    graphs = [knn_gaussian_graph(iris, GraphBuildParams(mu=1.0, sigma=s))
+              for s in (1e-3, 1e-2, 1e-1, 1.0, 10.0)]
+    graphs += [generate("gnp_connected", n=40, edge_prob=0.2, seed=s) for s in range(10)]
+    for g in graphs:
+        assert laplacian_pinv(g).matrix.tobytes() == _parent_pinv(g).tobytes()
+
+
+@pytest.mark.parametrize("route", ["shift", "eigh"])
+def test_pinv_holds_a_few_square_arrays(route, monkeypatch):
+    # L, L+ and the residual's two products at most, besides LAPACK's own
+    # buffers: no shift matrix J and no out-of-place difference. A solve
+    # that fails sends the call down the eigh route
+    g = generate("gnp_connected", n=200, edge_prob=0.1, seed=2)
+    want = _parent_pinv(g, route)
+    g.fingerprint()
+    if route == "eigh":
+        def singular(a):
+            raise np.linalg.LinAlgError("singular")
+        monkeypatch.setattr(np.linalg, "inv", singular)
+    pinv, peak = traced_peak(laplacian_pinv, g)
+    assert peak < 4.3 * g.n**2, peak / g.n**2
+    assert pinv.matrix.tobytes() == want.tobytes()
 
 
 def test_matrix_op_pnorm_exact_forms():

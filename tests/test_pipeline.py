@@ -34,7 +34,7 @@ from presistance.errors import (
 from presistance import clustering, pipeline, resistance
 from presistance.pipeline import ratio_rows_csv
 
-from conftest import reference_components, reference_knn_edges
+from conftest import reference_components, reference_knn_edges, traced_peak
 
 PAPER_MU = (0.04, 0.06, 0.08, 0.1, 1.0)
 PAPER_SIGMA = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
@@ -459,3 +459,40 @@ def test_ratio_sweep_approximate_values_are_approx_metric():
     # one sampled pair takes the single-pair path: the same bytes
     for r in ratio_sweep(g, (1.5, 10.0), sample_pairs=1, seed=5):
         assert r["approx_metric"] == approx_metric(g, r["p"], r["i"], r["j"], pinv)
+
+
+def _parent_ranking(X):
+    # the ranking as it was first written: all n^2 d differences at once
+    n = len(X)
+    sq = ((X[:, None] - X[None]) ** 2).sum(axis=2)
+    order = np.argsort(sq, axis=1, kind="stable")
+    return sq, order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+
+
+def test_ranking_bytes_match_the_all_pairs_tensor(iris_csv, wine_csv):
+    # row blocks sum each pair's features in numpy's own pairwise order,
+    # which a running sum over the columns leaves from d = 8 on: wine has
+    # d = 13. A duplicated point ranks by value, ties to the lower index
+    X = np.random.default_rng(3).normal(size=(60, 9))
+    X[[17, 40]] = X[5]
+    sets = [load_features(iris_csv, has_labels=True), load_features(wine_csv, has_labels=True),
+            FeatureDataset(X=X, labels=None)]
+    assert [ds.d for ds in sets] == [4, 13, 9]
+    for ds in sets:
+        sq, others = ds._ranking
+        want_sq, want_others = _parent_ranking(ds.X)
+        assert sq.tobytes() == want_sq.tobytes()
+        assert others.dtype == want_others.dtype
+        assert others.tobytes() == want_others.tobytes()
+
+
+def test_ranking_never_holds_the_distance_tensor():
+    # all n^2 d differences at once would take 16 n^2 floats here, and
+    # their squares as many again. The ranking holds the n x n squared
+    # distances, the n x (n - 1) ranks and one block's differences of
+    # about n^2 floats
+    n, d = 400, 16
+    ds = FeatureDataset(X=np.random.default_rng(0).uniform(size=(n, d)), labels=None)
+    (sq, others), peak = traced_peak(lambda: ds._ranking)
+    assert peak < 3.5 * n * n < d * n * n, peak / (n * n)
+    assert sq.tobytes() == _parent_ranking(ds.X)[0].tobytes()

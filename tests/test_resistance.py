@@ -53,6 +53,7 @@ from conftest import (
     brute_force_mincut,
     hop_distance_bfs,
     random_connected,
+    traced_peak,
     tree_series_presistance,
 )
 
@@ -470,6 +471,7 @@ def test_load_distance_matrix_rejects_malformed_files(tmp_path):
         "negative size": header("-1", "2.5", "approx", "metric", "g", "c")
         + bytes(8),
         "header not text": b"PDMX" + (2).to_bytes(8, "little") + b"\xff\xfe",
+        "garbled header length": b"PDMX" + (2**62).to_bytes(8, "little") + good[12:],
         "kept id not an integer": header("1", "2.5", "approx", "metric", "g",
                                          "c", "", "x") + bytes(8),
         "kept count not n": header("1", "2.5", "approx", "metric", "g", "c",
@@ -481,6 +483,69 @@ def test_load_distance_matrix_rejects_malformed_files(tmp_path):
             load_distance_matrix(path)
     path.write_bytes(header("0", "2.5", "approx", "metric", "g", "c"))
     assert load_distance_matrix(path).n == 0
+
+
+def test_matrix_file_round_trip_keeps_bytes_with_one_array(tmp_path):
+    # the payload is written from the matrix's buffer and read straight
+    # into the loaded matrix: the file's bytes are the ones the header,
+    # then `tobytes` of the matrix, gave, and a load holds one n x n array
+    # where reading the whole file and copying its payload held two
+    g = generate("gnp_connected", n=200, edge_prob=0.1, seed=2)
+    dm = distance_matrix(g, 3.0, workers=1)
+    path, again = tmp_path / "d.bin", tmp_path / "again.bin"
+    _, saved = traced_peak(save_distance_matrix, dm, path)
+    header = "\x1f".join([str(dm.n), repr(dm.p), dm.mode, dm.form, dm.graph_fingerprint,
+                          dm.config_fingerprint, dm.meta]).encode()
+    want = b"PDMX" + len(header).to_bytes(8, "little") + header + dm.matrix.tobytes()
+    assert path.read_bytes() == want
+    loaded, peak = traced_peak(load_distance_matrix, path)
+    assert saved < 0.2 * g.n**2 and peak < 1.2 * g.n**2, (saved / g.n**2, peak / g.n**2)
+    assert loaded.matrix.dtype == np.float64 and loaded.matrix.flags.writeable
+    assert loaded.matrix.tobytes() == dm.matrix.tobytes()
+    save_distance_matrix(loaded, again)
+    assert again.read_bytes() == want
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+def test_p2_closed_form_bytes_match_the_out_of_place_formula(iris_csv, block, monkeypatch):
+    # the closed form is made in place a few rows at a time: at a small
+    # `_BLOCK_DROPS` full iris takes 25 blocks of rows
+    if block:
+        monkeypatch.setattr(resistance, "_BLOCK_DROPS", block)
+    ds = load_features(iris_csv, has_labels=True)
+    graphs = [knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=s)) for s in (1e-2, 10.0)]
+    graphs += [generate("gnp_connected", n=40, edge_prob=0.2, seed=s) for s in range(3)]
+    for g in graphs:
+        Lp = laplacian_pinv(g).matrix
+        d = np.diag(Lp)
+        want = np.maximum(d[:, None] + d[None, :] - (Lp + Lp.T), 0.0)
+        np.fill_diagonal(want, 0.0)
+        got = distance_matrix(g, 2.0, pinv=LaplacianPinv(Lp, g.fingerprint()))
+        assert got.matrix.tobytes() == want.tobytes()
+
+
+def test_single_pair_query_gathers_its_slab_in_a_few_pieces(iris_csv, monkeypatch):
+    # a pair query walks the two L+ columns of its pair, twice (peaks,
+    # then sums), and `_slab` sizes its pieces in floats: each walk
+    # gathers full iris's 11175 edges in three pieces of two gathers each.
+    # Pieces of 64 edges made a query take 5.2 ms instead of 0.4
+    # (criterion 09 times this path)
+    ds = load_features(iris_csv, has_labels=True)
+    g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
+    pinv = laplacian_pinv(g)
+    want = approx_metric(g, 10.0, 3, 77, pinv)
+    take, gathers = np.take, []
+
+    def counting(a, indices, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_slab":
+            gathers.append(len(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(np, "take", counting)
+    assert approx_metric(g, 10.0, 3, 77, pinv) == want
+    walks = 2
+    assert sum(gathers) == walks * 2 * g.m
+    assert len(gathers) <= walks * 2 * 4, len(gathers)
 
 
 def test_mincut_values():
@@ -1222,13 +1287,7 @@ def test_complete_graph_never_holds_its_drops_array(iris_csv):
     g = knn_gaussian_graph(ds, GraphBuildParams(mu=1.0, sigma=0.01))
     assert g.m == g.n * (g.n - 1) // 2
     pinv = laplacian_pinv(g)
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        distance_matrices(g, (10.0,), pinv, workers=1)
-        peak = tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
+    peak = _kernel_peak(g, (10.0,), pinv)
     assert peak < 4 * 2**20 < g.n * g.m * 8, peak
 
 
@@ -1244,14 +1303,9 @@ def _blob_knn_graph(n=300, seed=0):
 
 
 def _kernel_peak(g, ps, pinv):
-    # the tracemalloc peak of one call at one worker, above its entry
-    tracemalloc.start()
-    try:
-        entry = tracemalloc.get_traced_memory()[0]
-        distance_matrices(g, ps, pinv, workers=1)
-        return tracemalloc.get_traced_memory()[1] - entry
-    finally:
-        tracemalloc.stop()
+    # the tracemalloc peak of one call at one worker, above its entry, in
+    # bytes
+    return traced_peak(distance_matrices, g, ps, pinv, workers=1)[1] * 8
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
